@@ -56,22 +56,20 @@ from .jacobian import (
 from .cramerops import (
     TOperatorTable,
     build_t_operators,
-    default_work_degree,
     table_to_dict,
     verify_cramer_base,
     verify_defining_identity,
     verify_identity_on_monomials,
     verify_order_bound,
+    working_degree,
 )
 from .recovery import (
     RecoveryReport,
     assemble_H,
-    extract_G_coefficient,
     extraction_witness,
     max_recoverable_degree,
     recover,
     report_to_dict,
-    working_degree,
 )
 from .radius import (
     BoundReport,

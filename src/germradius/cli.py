@@ -24,11 +24,11 @@ from pathlib import Path
 
 from .cramerops import (
     build_t_operators,
-    default_work_degree,
     table_to_dict,
     verify_cramer_base,
     verify_identity_on_monomials,
     verify_order_bound,
+    working_degree,
 )
 from .errors import GermRadiusError, JobError, ParseError
 from .jacobian import determinant, identity_matrix, jacobian_matrix, matmul, profile, profile_to_dict
@@ -55,7 +55,6 @@ from .recovery import (
     max_recoverable_degree,
     recover,
     report_to_dict,
-    working_degree,
 )
 
 COMMANDS = ("compose", "recover", "profile", "stratify", "radius", "verify")
@@ -517,7 +516,7 @@ def _cmd_verify(ctx):
             raise JobError(f"verify payload {name} must be a positive int")
     prof0 = profile(ctx.germ(max(job.degree, ctx.pmap.default_profile_degree())))
     mu = prof0.mu
-    work = default_work_degree(mu, max(max_beta, roundtrip_degree))
+    work = working_degree(mu, max(max_beta, roundtrip_degree))
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
                       job.degree)
     germ = ctx.germ(germ_degree)

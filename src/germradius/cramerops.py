@@ -23,7 +23,9 @@ table, and the build is deterministic, so recomputation is bit-identical.
 
 Entries at level m carry truncation work_degree - (m - 1): each level spends
 one derivative.  Construction is sequential in the level; finished tables
-are immutable values.
+are immutable values.  ``iter_h_levels`` runs the same recurrence on the
+operator sums H_beta = Σ_alpha T[beta, alpha] · D^alpha f for one f, one
+series per beta; recovery uses it.
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ class TOperatorTable:
 
 
 class _LevelBuilder:
-    """Builds successive operator levels from a determinant/adjugate pair.
-
-    ``delta`` and ``adj`` may be uniformly rescaled copies: scaling both by a
-    constant c multiplies every level-m entry by c^(2m-1), which downstream
-    extraction can divide out exactly.
-    """
+    """Builds successive operator levels from a determinant/adjugate pair,
+    either as table entries T[beta, alpha] or as operator sums H_beta."""
 
     __slots__ = ("n", "center", "work_degree", "delta", "adj", "units", "s_cols")
 
@@ -76,13 +74,7 @@ class _LevelBuilder:
         self.adj = adj
         self.units = [unit(n, i) for i in range(n)]
         # column contractions of the determinant gradient, reused at every level
-        self.s_cols = []
-        for j in range(n):
-            acc = None
-            for i in range(n):
-                term = adj.entry(i, j).mul(delta.derive(self.units[i]))
-                acc = term if acc is None else acc + term
-            self.s_cols.append(acc)
+        self.s_cols = [self._contract(delta, j) for j in range(n)]
 
     def base_level(self):
         w = self.work_degree
@@ -96,32 +88,47 @@ class _LevelBuilder:
                 level[(beta, self.units[i])] = entry.truncated(min(entry.trunc, w))
         return level
 
+    def _cap(self, level, cap):
+        if cap < 0:
+            raise TruncationError(
+                f"working degree {self.work_degree} exhausted at level {level}",
+                needed_degree=level - 1)
+        return cap
+
+    def _contract(self, series, j, target=None):
+        """Σ_i adj[i][j] · D^{e_i} series, capped at ``target``."""
+        acc = None
+        for i in range(self.n):
+            term = self.adj.entry(i, j).mul(
+                series.derive(self.units[i]), upto=target)
+            acc = term if acc is None else acc + term
+        return acc
+
+    def _step(self, prev, j, m, target):
+        """delta · Σ_i adj[i][j] · D^{e_i} prev - (2m - 1) · s_j · prev: the
+        part of the level-(m+1) recurrence that differentiates ``prev``."""
+        return (self.delta.mul(self._contract(prev, j, target), upto=target)
+                + prev.mul(self.s_cols[j], upto=target) * -(2 * m - 1))
+
+    def _parents(self, m):
+        """Each beta of degree m+1 with its contraction column j (the first
+        nonzero coordinate) and the degree-m beta it extends."""
+        for beta_new in enumerate_degree(self.n, m + 1):
+            j = next(k for k, e in enumerate(beta_new) if e > 0)
+            beta = beta_new[:j] + (beta_new[j] - 1,) + beta_new[j + 1:]
+            yield beta_new, j, beta
+
     def next_level(self, level, m):
         """Entries of degree m+1 from the degree-m entries."""
         n = self.n
-        target = self.work_degree - m
-        if target < 0:
-            raise TruncationError(
-                f"working degree {self.work_degree} exhausted at level {m + 1}",
-                needed_degree=m)
+        target = self._cap(m + 1, self.work_degree - m)
         out = {}
-        scale_back = -(2 * m - 1)
-        for beta_new in enumerate_degree(n, m + 1):
-            j = next(k for k in range(n) if beta_new[k] > 0)
-            beta = tuple(
-                e - 1 if k == j else e for k, e in enumerate(beta_new))
+        for beta_new, j, beta in self._parents(m):
             for alpha in enumerate_upto(n, m + 1):
-                pieces = []
+                entry = None
                 prev = level.get((beta, alpha))
                 if prev is not None and prev.coeffs:
-                    grad = None
-                    for i in range(n):
-                        term = self.adj.entry(i, j).mul(
-                            prev.derive(self.units[i]), upto=target)
-                        grad = term if grad is None else grad + term
-                    pieces.append(self.delta.mul(grad, upto=target))
-                    pieces.append(
-                        prev.mul(self.s_cols[j], upto=target) * scale_back)
+                    entry = self._step(prev, j, m, target)
                 shift = None
                 for i in range(n):
                     down = mi_sub(alpha, self.units[i])
@@ -133,21 +140,29 @@ class _LevelBuilder:
                     term = self.adj.entry(i, j).mul(prior, upto=target)
                     shift = term if shift is None else shift + term
                 if shift is not None:
-                    pieces.append(self.delta.mul(shift, upto=target))
-                if pieces:
-                    entry = pieces[0]
-                    for p in pieces[1:]:
-                        entry = entry + p
-                    if entry.trunc != target:
-                        entry = entry.truncated(target)
-                else:
+                    shift = self.delta.mul(shift, upto=target)
+                    entry = shift if entry is None else entry + shift
+                if entry is None:
                     entry = TruncatedSeries.zero(n, self.center, target)
+                elif entry.trunc != target:
+                    entry = entry.truncated(target)
                 out[(beta_new, alpha)] = entry
         return out
 
+    def base_h_level(self, f):
+        """H_{e_j} = Σ_i adj[i][j] · D^{e_i} f, capped at work_degree - 1."""
+        target = self._cap(1, self.work_degree - 1)
+        return {self.units[j]: self._contract(f, j, target)
+                for j in range(self.n)}
 
-def iter_t_levels(germ, max_beta_degree, work_degree, prof=None,
-                  delta=None, adj=None):
+    def next_h_level(self, level, m):
+        """Operator sums of degree m+1 from the degree-m sums."""
+        target = self._cap(m + 1, self.work_degree - m - 1)
+        return {beta_new: self._step(level[beta], j, m, target)
+                for beta_new, j, beta in self._parents(m)}
+
+
+def iter_t_levels(germ, max_beta_degree, work_degree, prof=None):
     """Yield (m, level entries) for m = 1..max_beta_degree, one level at a
     time; earlier levels are not retained here, so callers that only need a
     streaming pass stay within memory at large degrees."""
@@ -160,9 +175,7 @@ def iter_t_levels(germ, max_beta_degree, work_degree, prof=None,
             f"map germ truncation {germ.trunc} too low for working degree "
             f"{work_degree}", needed_degree=work_degree + 1)
     builder = _LevelBuilder(
-        germ.n, germ.center, work_degree,
-        prof.delta if delta is None else delta,
-        prof.adjugate if adj is None else adj)
+        germ.n, germ.center, work_degree, prof.delta, prof.adjugate)
     level = builder.base_level()
     yield 1, level
     for m in range(1, max_beta_degree):
@@ -170,8 +183,34 @@ def iter_t_levels(germ, max_beta_degree, work_degree, prof=None,
         yield m + 1, level
 
 
-def default_work_degree(mu, max_beta_degree):
-    """Working truncation rule: (2B - 1) * mu + B."""
+def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
+    """Yield (m, {beta: H_beta}) for m = 1..max_beta_degree, where
+    H_beta = Σ_alpha T[beta, alpha] · D^alpha f_series is the operator sum of
+    the table built from ``delta`` and ``adj``, valid to degree
+    work_degree - m at most.  The table recurrence applied to the sum itself
+    gives, by linearity and for every f_series, composite or not,
+
+        H_{e_j}        = Σ_i adj[i][j] · D^{e_i} f_series
+        H_{beta + e_j} = delta · Σ_i adj[i][j] · D^{e_i} H_beta
+                         - (2|beta| - 1) · (Σ_i adj[i][j] · D^{e_i} delta) · H_beta
+
+    with j chosen as in the table.
+    """
+    if max_beta_degree < 1:
+        raise ValueError("max_beta_degree must be >= 1")
+    builder = _LevelBuilder(
+        f_series.n, f_series.center, work_degree, delta, adj)
+    level = builder.base_h_level(f_series)
+    yield 1, level
+    for m in range(1, max_beta_degree):
+        level = builder.next_h_level(level, m)
+        yield m + 1, level
+
+
+def working_degree(mu, max_beta_degree):
+    """Working truncation (2B - 1)·mu + B for operator levels up to B, and
+    for F when recovering G to degree B: the extraction coefficient lives at
+    degree (2B - 1)·mu and each level consumes one derivative."""
     return (2 * max_beta_degree - 1) * mu + max_beta_degree
 
 
@@ -184,7 +223,7 @@ def build_t_operators(germ, max_beta_degree, work_degree=None):
     """
     prof = profile(germ)
     if work_degree is None:
-        work_degree = default_work_degree(prof.mu, max_beta_degree)
+        work_degree = working_degree(prof.mu, max_beta_degree)
     entries = {}
     for _, level in iter_t_levels(germ, max_beta_degree, work_degree, prof=prof):
         entries.update(level)

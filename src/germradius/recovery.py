@@ -14,16 +14,14 @@ value: the two differ by alpha!^(2m-1), and the cube-map fixture (alpha! = 2)
 pins the coefficient form via the round trip.
 
 The degree-zero coefficient is read off directly: G_0 = F(a).  The working
-rule: to reach degree B, F and the operator table need truncation
-(2B-1)·mu + B (the map germ one more), because the extraction coefficient
-lives at degree (2m-1)·mu and each level consumes one derivative.
+rule: to reach degree B, F needs truncation (2B-1)·mu + B (the map germ one
+more), because the extraction coefficient lives at degree (2m-1)·mu and each
+level consumes one derivative.
 
-The level stream used here is the same construction as the materialized
-table; only the traversal differs, so the recovered values are bit-identical
-to a table-backed run.  Internally the determinant and adjugate are rescaled
-by the least common denominator of their coefficients: that multiplies every
-level-m entry by c^(2m-1), which the divisor absorbs exactly, and it keeps
-the hot arithmetic in plain integers.
+No operator table is built: ``cramerops.iter_h_levels`` recurs on the sums
+H themselves, one series per beta, and each sum equals the table's
+Σ_alpha T[beta, alpha] · D^alpha F, so the recovered values are the same
+rationals a table-backed extraction gives (``assemble_H`` is that reference).
 """
 
 from __future__ import annotations
@@ -33,14 +31,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
-from .cramerops import iter_t_levels
+from .cramerops import iter_h_levels, working_degree
 from .jacobian import SeriesMatrix, profile
-from .mindex import enumerate_degree, enumerate_upto, grlex_key, mi_factorial, scale
+from .mindex import enumerate_upto, grlex_key, mi_factorial, scale
 from .pseries import (
     TruncatedSeries,
     as_exact,
     compose,
-    product_coefficient,
     rational_str,
     series_to_dict,
 )
@@ -64,11 +61,6 @@ class RecoveryReport:
             return None
         g = min(self.residual.coeffs, key=grlex_key)
         return g, self.residual.coeffs[g]
-
-
-def working_degree(mu, target_degree):
-    """Truncation F and the table need to recover G to ``target_degree``."""
-    return (2 * target_degree - 1) * mu + target_degree
 
 
 def max_recoverable_degree(mu, available_degree):
@@ -100,35 +92,20 @@ def assemble_H(table, f_series, beta):
     return acc
 
 
-def extract_G_coefficient(h_series, prof, beta):
-    """Pivot division: H coefficient at (2m-1)·alpha over beta! · pivot^(2m-1)."""
-    beta = tuple(beta)
-    m = sum(beta)
-    if m == 0:
-        raise ValueError("the degree-zero coefficient reads off F directly")
-    idx = scale(prof.alpha, 2 * m - 1)
-    pivot = Fraction(prof.d_alpha_delta) / mi_factorial(prof.alpha)
-    divisor = mi_factorial(beta) * pivot ** (2 * m - 1)
-    return as_exact(Fraction(h_series.coefficient(idx)) / divisor)
+def _integer_copies(prof):
+    """The least common denominator c of the determinant and adjugate
+    coefficients, and both scaled by c.  Scaling multiplies every level-m
+    operator sum by c^(2m-1), which the divisor absorbs exactly, and it keeps
+    the hot arithmetic in plain integers."""
+    series = [prof.delta] + [e for row in prof.adjugate.rows for e in row]
+    den = lcm(*(Fraction(c).denominator
+                for s in series for c in s.coeffs.values()))
 
-
-def _common_denominator(prof):
-    den = 1
-    for c in prof.delta.coeffs.values():
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    for row in prof.adjugate.rows:
-        for e in row:
-            for c in e.coeffs.values():
-                if isinstance(c, Fraction):
-                    den = lcm(den, c.denominator)
-    return den
-
-
-def _scaled_copy(series, c):
-    return TruncatedSeries._raw(
-        series.n, series.center, series.trunc,
-        {g: as_exact(v * c) for g, v in series.coeffs.items()})
+    def scaled(s):
+        coeffs = {g: as_exact(v * den) for g, v in s.coeffs.items()}
+        return TruncatedSeries._raw(s.n, s.center, s.trunc, coeffs)
+    return den, scaled(prof.delta), SeriesMatrix(
+        [[scaled(e) for e in row] for row in prof.adjugate.rows])
 
 
 def recover(germ, f_series, target_degree, trace=False):
@@ -137,7 +114,7 @@ def recover(germ, f_series, target_degree, trace=False):
 
     The residual is shipped even for exact composites, where it must be
     identically zero: it is the self-check that does not depend on how the
-    operator entries were constructed.
+    operator sums were constructed.
     """
     if not isinstance(target_degree, int) or target_degree < 0:
         raise ValueError(f"target degree must be a nonnegative int, got {target_degree}")
@@ -151,8 +128,8 @@ def recover(germ, f_series, target_degree, trace=False):
     if target_degree > max_deg:
         need = working_degree(prof.mu, target_degree)
         raise TruncationError(
-            f"recovering to degree {target_degree} needs F and table "
-            f"truncation {need} (map germ {need + 1}); the inputs support "
+            f"recovering to degree {target_degree} needs F truncation "
+            f"{need} (map germ {need + 1}); the inputs support "
             f"degree {max_deg}", needed_degree=need)
     zero_idx = (0,) * germ.n
     coeffs = {}
@@ -164,34 +141,14 @@ def recover(germ, f_series, target_degree, trace=False):
         trace_data[zero_idx] = (as_exact(Fraction(g0)), 1)
     if target_degree >= 1:
         work = working_degree(prof.mu, target_degree)
-        den = _common_denominator(prof)
-        delta = _scaled_copy(prof.delta, den) if den != 1 else prof.delta
-        adj = prof.adjugate
-        if den != 1:
-            adj = SeriesMatrix(
-                [[_scaled_copy(e, den) for e in row] for row in adj.rows])
+        den, delta, adj = _integer_copies(prof)
         pivot = Fraction(prof.delta.coeffs[prof.alpha]) * den
-        deriv_cache = {}
-
-        def d_f(alpha):
-            got = deriv_cache.get(alpha)
-            if got is None:
-                got = f_series.derive(alpha)
-                deriv_cache[alpha] = got
-            return got
-
-        for m, level in iter_t_levels(germ, target_degree, work, prof=prof,
-                                      delta=delta, adj=adj):
+        for m, level in iter_h_levels(f_series, target_degree, work, delta, adj):
             idx = scale(prof.alpha, 2 * m - 1)
             pivot_pow = pivot ** (2 * m - 1)
             den_pow = den ** (2 * m - 1)
-            for beta in enumerate_degree(germ.n, m):
-                total = 0
-                for alpha in enumerate_upto(germ.n, m):
-                    entry = level[(beta, alpha)]
-                    if not entry.coeffs:
-                        continue
-                    total += product_coefficient(entry, d_f(alpha), idx)
+            for beta, h in level.items():
+                total = h.coefficient(idx)
                 divisor = mi_factorial(beta) * pivot_pow
                 value = as_exact(Fraction(total) / divisor)
                 if value:

@@ -13,7 +13,7 @@ from germradius import (
     assemble_H,
     build_t_operators,
     compose,
-    extract_G_coefficient,
+    enumerate_upto,
     extraction_witness,
     max_recoverable_degree,
     profile,
@@ -21,6 +21,7 @@ from germradius import (
     report_to_dict,
     working_degree,
 )
+from germradius.cramerops import iter_h_levels
 from helpers import (
     blowup_germ,
     cube_germ,
@@ -92,11 +93,11 @@ def test_assemble_H_identity_map_is_derivative():
 
 def test_extract_square_fixture():
     germ = square_germ(degree=10)
-    prof = profile(germ)
-    table = build_t_operators(germ, 2)
     f = series_of("x^2", ["x"], degree=9)
-    assert extract_G_coefficient(assemble_H(table, f, (1,)), prof, (1,)) == 1
-    assert extract_G_coefficient(assemble_H(table, f, (2,)), prof, (2,)) == 0
+    report = recover(germ, f, 2, trace=True)
+    assert report.g_series.coeffs == {(1,): 1}
+    assert report.per_beta_trace[(1,)] == (2, 2)
+    assert report.per_beta_trace[(2,)] == (0, 16)
 
 
 def test_extract_cube_normalization():
@@ -104,13 +105,60 @@ def test_extract_cube_normalization():
     # raw derivative value: they differ by alpha! = 2 here
     germ = cube_germ(degree=16)
     prof = profile(germ)
-    table = build_t_operators(germ, 1, work_degree=6)
     f = series_of("x^3", ["x"], degree=15)
-    h = assemble_H(table, f, (1,))
-    assert h.coefficient((2,)) == 3
-    assert extract_G_coefficient(h, prof, (1,)) == 1
-    wrong = Fraction(h.coefficient((2,)), prof.d_alpha_delta)
+    report = recover(germ, f, 1, trace=True)
+    h, divisor = report.per_beta_trace[(1,)]
+    assert (h, divisor) == (3, 3)
+    assert report.g_series.coeffs == {(1,): 1}
+    assert prof.d_alpha_delta == 6
+    wrong = Fraction(h, prof.d_alpha_delta)
     assert wrong == Fraction(1, 2)  # the unnormalized reading is off by alpha!
+
+
+def _fraction_series(rng, n, center, trunc):
+    """Random series with Fraction coefficients in every degree up to trunc:
+    not a composite of a singular map in general."""
+    coeffs = {}
+    for gamma in enumerate_upto(n, trunc):
+        if rng.random() < 0.7:
+            coeffs[gamma] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return TruncatedSeries(n, center, trunc, coeffs)
+
+
+@pytest.mark.parametrize("n,singular", [
+    (1, False), (1, True), (2, False), (2, True), (3, False), (3, True)])
+def test_streamed_h_matches_table_sum(n, singular):
+    # the H recurrence against the table-based reference Σ T · D^alpha F on
+    # non-composite F, and recover's trace against the reference's
+    # extraction coefficient
+    rng = random.Random(900 + n + 10 * singular)
+    target = 3
+    work = working_degree(int(singular), target)
+    germs = [random_map(rng, n, trunc=work + 1, singular=singular, max_mu=1)
+             for _ in range(2)]
+    if n == 2 and singular:
+        # fractional determinant and adjugate: recover rescales them
+        germs.append(germ_of(["1/3*x^2", "y + 1/2*x*y"], ["x", "y"],
+                             degree=work + 1))
+    for germ in germs:
+        prof = profile(germ)
+        assert prof.mu == int(singular)
+        f = _fraction_series(rng, n, germ.center, work)
+        table = build_t_operators(germ, target, work_degree=work)
+        report = recover(germ, f, target, trace=True)
+        seen = 0
+        for m, level in iter_h_levels(f, target, work, prof.delta,
+                                      prof.adjugate):
+            for beta, h in level.items():
+                ref = assemble_H(table, f, beta)
+                common = min(h.trunc, ref.trunc)
+                assert h.truncated(common) == ref.truncated(common)
+                idx = tuple(e * (2 * m - 1) for e in prof.alpha)
+                assert report.per_beta_trace[beta][0] == ref.coefficient(idx)
+                seen += 1
+        assert seen == len(enumerate_upto(n, target)) - 1
+        # every F is a composite of a regular germ, almost none of a singular one
+        assert report.composite_within_checked_degree == (not singular)
 
 
 # -- extraction lemma ---------------------------------------------------------
