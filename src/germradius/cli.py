@@ -31,7 +31,7 @@ from .cramerops import (
     working_degree,
 )
 from .errors import GermRadiusError, JobError, ParseError
-from .jacobian import determinant, identity_matrix, jacobian_matrix, matmul, profile, profile_to_dict
+from .jacobian import identity_matrix, jacobian_matrix, matmul, profile, profile_to_dict
 from .mindex import enumerate_upto
 from .polymap import Polynomial, PolynomialMap
 from .pseries import (
@@ -43,7 +43,6 @@ from .pseries import (
     series_to_dict,
 )
 from .radius import (
-    bound_report,
     estimate_radius,
     scaling_fit,
     shells_to_csv,
@@ -520,7 +519,8 @@ def _cmd_verify(ctx):
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
                       job.degree)
     germ = ctx.germ(germ_degree)
-    prof = profile(germ)
+    table = build_t_operators(germ, max_beta, work_degree=work)
+    prof = table.profile
     rng = random.Random(seed)
     b = germ.image_point
     g_rand = _random_series(rng, job.n, b, 3)
@@ -548,7 +548,6 @@ def _cmd_verify(ctx):
             want = delta_id.entry(i, j).mul(prof.delta)
             ok = ok and lhs.entry(i, j) == want and rhs.entry(i, j) == want
     record("adjugate_identity", ok, "J·adj and adj·J against det·I")
-    table = build_t_operators(germ, max_beta, work_degree=work)
     results = verify_identity_on_monomials(table, monomial_degree)
     record("defining_identity", all(r[2] for r in results),
            f"{len(results)} (beta, monomial) pairs")

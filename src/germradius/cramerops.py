@@ -11,21 +11,25 @@ exactly within truncation.  Level one is Cramer's rule: T[e_j, e_i] is the
 (i, j) adjugate entry and T[e_j, 0] = 0.  Level m+1 comes from the level-m
 identity by differentiating in direction e_i, contracting with adjugate
 column j (the smallest coordinate of the new beta), and multiplying through
-by delta:
+by delta.  For an operator H_beta satisfying the level-m identity, with
+gradient D_i H_beta, that is one step:
 
-    T[beta + e_j, alpha] = delta · Σ_i adj[i][j] · D^{e_i} T[beta, alpha]
-                         + delta · Σ_i adj[i][j] · T[beta, alpha - e_i]
-                         - (2|beta| - 1) · (Σ_i adj[i][j] · D^{e_i} delta) · T[beta, alpha]
+    H_{beta + e_j} = delta · Σ_i adj[i][j] · D_i H_beta
+                     - (2|beta| - 1) · (Σ_i adj[i][j] · D^{e_i} delta) · H_beta
 
-with invalid alpha - e_i skipped.  The recurrence is a construction device;
+The table takes it on the operator row H_beta = Σ_alpha T[beta, alpha] · D^alpha,
+whose gradient at alpha is, by Leibniz (invalid alpha - e_i skipped),
+
+    (D_i T)[alpha] = D^{e_i} T[beta, alpha] + T[beta, alpha - e_i];
+
+``iter_h_levels`` takes the same step on the sums Σ_alpha T[beta, alpha] · D^alpha f
+for one f, which recovery reads.  The recurrence is a construction device;
 the identity check over a monomial basis is the contract that certifies a
 table, and the build is deterministic, so recomputation is bit-identical.
 
 Entries at level m carry truncation work_degree - (m - 1): each level spends
 one derivative.  Construction is sequential in the level; finished tables
-are immutable values.  ``iter_h_levels`` runs the same recurrence on the
-operator sums H_beta = Σ_alpha T[beta, alpha] · D^alpha f for one f, one
-series per beta; recovery uses it.
+are immutable values.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from .mindex import (
     sub as mi_sub,
     unit,
 )
-from .pseries import MapGerm, TruncatedSeries, compose, series_to_dict
+from .pseries import (
+    MapGerm,
+    TruncatedSeries,
+    _monomial_power,
+    compose,
+    series_to_dict,
+)
 
 
 @dataclass(eq=False)
@@ -74,7 +84,8 @@ class _LevelBuilder:
         self.adj = adj
         self.units = [unit(n, i) for i in range(n)]
         # column contractions of the determinant gradient, reused at every level
-        self.s_cols = [self._contract(delta, j) for j in range(n)]
+        grad = self._grad(delta)
+        self.s_cols = [self._contract(grad, j) for j in range(n)]
 
     def base_level(self):
         w = self.work_degree
@@ -95,19 +106,21 @@ class _LevelBuilder:
                 needed_degree=level - 1)
         return cap
 
-    def _contract(self, series, j, target=None):
-        """Σ_i adj[i][j] · D^{e_i} series, capped at ``target``."""
+    def _grad(self, series):
+        return [series.derive(u) for u in self.units]
+
+    def _contract(self, grad, j, target=None):
+        """Σ_i adj[i][j] · grad[i], capped at ``target``."""
         acc = None
         for i in range(self.n):
-            term = self.adj.entry(i, j).mul(
-                series.derive(self.units[i]), upto=target)
+            term = self.adj.entry(i, j).mul(grad[i], upto=target)
             acc = term if acc is None else acc + term
         return acc
 
-    def _step(self, prev, j, m, target):
-        """delta · Σ_i adj[i][j] · D^{e_i} prev - (2m - 1) · s_j · prev: the
-        part of the level-(m+1) recurrence that differentiates ``prev``."""
-        return (self.delta.mul(self._contract(prev, j, target), upto=target)
+    def _step(self, prev, grad, j, m, target):
+        """delta · Σ_i adj[i][j] · grad[i] - (2m - 1) · s_j · prev: the
+        level-(m+1) recurrence for ``prev`` with gradient ``grad``."""
+        return (self.delta.mul(self._contract(grad, j, target), upto=target)
                 + prev.mul(self.s_cols[j], upto=target) * -(2 * m - 1))
 
     def _parents(self, m):
@@ -119,53 +132,45 @@ class _LevelBuilder:
             yield beta_new, j, beta
 
     def next_level(self, level, m):
-        """Entries of degree m+1 from the degree-m entries."""
-        n = self.n
+        """Entries of degree m+1 from the degree-m entries; one whose
+        T[beta, alpha] and T[beta, alpha - e_i] all vanish costs no products."""
         target = self._cap(m + 1, self.work_degree - m)
+        absent = TruncatedSeries.zero(self.n, self.center, target + 1)
+        zero = TruncatedSeries.zero(self.n, self.center, target)
+        alphas = enumerate_upto(self.n, m + 1)
         out = {}
         for beta_new, j, beta in self._parents(m):
-            for alpha in enumerate_upto(n, m + 1):
-                entry = None
-                prev = level.get((beta, alpha))
-                if prev is not None and prev.coeffs:
-                    entry = self._step(prev, j, m, target)
-                shift = None
-                for i in range(n):
-                    down = mi_sub(alpha, self.units[i])
-                    if down is None:
-                        continue
-                    prior = level.get((beta, down))
-                    if prior is None or not prior.coeffs:
-                        continue
-                    term = self.adj.entry(i, j).mul(prior, upto=target)
-                    shift = term if shift is None else shift + term
-                if shift is not None:
-                    shift = self.delta.mul(shift, upto=target)
-                    entry = shift if entry is None else entry + shift
-                if entry is None:
-                    entry = TruncatedSeries.zero(n, self.center, target)
-                elif entry.trunc != target:
-                    entry = entry.truncated(target)
-                out[(beta_new, alpha)] = entry
+            for alpha in alphas:
+                prev = level.get((beta, alpha), absent)
+                # mi_sub gives None for an invalid alpha - e_i: never a key
+                downs = [level.get((beta, mi_sub(alpha, u)), absent)
+                         for u in self.units]
+                if prev.is_zero and all(d.is_zero for d in downs):
+                    out[(beta_new, alpha)] = zero
+                    continue
+                grad = downs if prev.is_zero else [
+                    d_prev + down for d_prev, down in zip(self._grad(prev), downs)]
+                out[(beta_new, alpha)] = self._step(prev, grad, j, m, target)
         return out
 
     def base_h_level(self, f):
         """H_{e_j} = Σ_i adj[i][j] · D^{e_i} f, capped at work_degree - 1."""
         target = self._cap(1, self.work_degree - 1)
-        return {self.units[j]: self._contract(f, j, target)
+        grad = self._grad(f)
+        return {self.units[j]: self._contract(grad, j, target)
                 for j in range(self.n)}
 
     def next_h_level(self, level, m):
         """Operator sums of degree m+1 from the degree-m sums."""
         target = self._cap(m + 1, self.work_degree - m - 1)
-        return {beta_new: self._step(level[beta], j, m, target)
+        grads = {beta: self._grad(h) for beta, h in level.items()}
+        return {beta_new: self._step(level[beta], grads[beta], j, m, target)
                 for beta_new, j, beta in self._parents(m)}
 
 
 def iter_t_levels(germ, max_beta_degree, work_degree, prof=None):
     """Yield (m, level entries) for m = 1..max_beta_degree, one level at a
-    time; earlier levels are not retained here, so callers that only need a
-    streaming pass stay within memory at large degrees."""
+    time."""
     if max_beta_degree < 1:
         raise ValueError("max_beta_degree must be >= 1")
     if prof is None:
@@ -187,14 +192,9 @@ def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
     """Yield (m, {beta: H_beta}) for m = 1..max_beta_degree, where
     H_beta = Σ_alpha T[beta, alpha] · D^alpha f_series is the operator sum of
     the table built from ``delta`` and ``adj``, valid to degree
-    work_degree - m at most.  The table recurrence applied to the sum itself
-    gives, by linearity and for every f_series, composite or not,
-
-        H_{e_j}        = Σ_i adj[i][j] · D^{e_i} f_series
-        H_{beta + e_j} = delta · Σ_i adj[i][j] · D^{e_i} H_beta
-                         - (2|beta| - 1) · (Σ_i adj[i][j] · D^{e_i} delta) · H_beta
-
-    with j chosen as in the table.
+    work_degree - m at most.  It starts from H_{e_j} = Σ_i adj[i][j] · D^{e_i}
+    f_series and takes the table's step with the gradient of H_beta, which
+    holds by linearity for every f_series, composite or not.
     """
     if max_beta_degree < 1:
         raise ValueError("max_beta_degree must be >= 1")
@@ -233,28 +233,34 @@ def build_t_operators(germ, max_beta_degree, work_degree=None):
 
 
 def _delta_power(delta, exponent, upto=None):
+    """delta^exponent, capped at ``upto`` when given."""
     out = delta if upto is None else delta.truncated(min(delta.trunc, upto))
     for _ in range(exponent - 1):
         out = out.mul(delta, upto=upto)
     return out
 
 
-def verify_defining_identity(table, g, beta):
-    """Residual of the defining identity for one concrete g and beta; it is
-    identically zero within truncation exactly when the table is right."""
-    beta = tuple(beta)
+def _operator_sum(table, f, beta):
+    """Σ_alpha T[beta, alpha] · D^alpha f for one beta in the table range."""
     m = sum(beta)
     if not 1 <= m <= table.max_beta_degree:
         raise ValueError(
             f"beta degree {m} outside the table range 1..{table.max_beta_degree}")
-    germ = table.germ
-    f = compose(g, germ)
-    lhs = _delta_power(table.profile.delta, 2 * m - 1).mul(
-        compose(g.derive(beta), germ))
-    rhs = None
-    for alpha in enumerate_upto(germ.n, m):
+    acc = None
+    for alpha in enumerate_upto(table.germ.n, m):
         term = table.entries[(beta, alpha)].mul(f.derive(alpha))
-        rhs = term if rhs is None else rhs + term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def verify_defining_identity(table, g, beta):
+    """Residual of the defining identity for one concrete g and beta; it is
+    identically zero within truncation exactly when the table is right."""
+    beta = tuple(beta)
+    germ = table.germ
+    rhs = _operator_sum(table, compose(g, germ), beta)
+    lhs = _delta_power(table.profile.delta, 2 * sum(beta) - 1).mul(
+        compose(g.derive(beta), germ))
     return lhs - rhs
 
 
@@ -290,13 +296,10 @@ def verify_identity_on_monomials(table, g_degree):
     n = germ.n
     w = table.work_degree
     devs = list(germ.deviations())
+    kappas = enumerate_upto(n, g_degree)
     powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, germ.trunc)}
-    for kappa in enumerate_upto(n, g_degree):
-        if sum(kappa) == 0:
-            continue
-        j = max(i for i, e in enumerate(kappa) if e)
-        prev = kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]
-        powers[kappa] = powers[prev].mul(devs[j])
+    for kappa in kappas:
+        _monomial_power(kappa, powers, devs, germ.trunc)
     deriv_cache = {}
 
     def d_power(kappa, alpha):
@@ -307,7 +310,6 @@ def verify_identity_on_monomials(table, g_degree):
         return got
 
     records = []
-    kappas = enumerate_upto(n, g_degree)
     for m in range(1, table.max_beta_degree + 1):
         cap = w - m + 1
         dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)

@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .mindex import grlex_key, mi_factorial, unit
-from .pseries import MapGerm, TruncatedSeries, as_exact, rational_str
+from .pseries import TruncatedSeries, as_exact, rational_str
 
 
 class SeriesMatrix:
@@ -169,10 +169,6 @@ class JacobianProfile:
     d_alpha_delta: object
     lam: int
     computed_at_degree: int
-
-    def alpha_coefficient(self):
-        """Coefficient of the determinant at alpha (derivative / alpha!)."""
-        return self.delta.coeffs[self.alpha]
 
 
 def profile(germ):

@@ -109,9 +109,15 @@ class Polynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent}")
+        # square-and-multiply: O(log exponent) products
         result = Polynomial.constant(self.n, 1)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     @classmethod

@@ -31,9 +31,14 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
-from .cramerops import iter_h_levels, working_degree
+from .cramerops import (
+    _delta_power,
+    _operator_sum,
+    iter_h_levels,
+    working_degree,
+)
 from .jacobian import SeriesMatrix, profile
-from .mindex import enumerate_upto, grlex_key, mi_factorial, scale
+from .mindex import grlex_key, mi_factorial, scale
 from .pseries import (
     TruncatedSeries,
     as_exact,
@@ -70,21 +75,14 @@ def max_recoverable_degree(mu, available_degree):
 
 def assemble_H(table, f_series, beta):
     """Full operator sum Σ_alpha T[beta, alpha] · D^alpha F as a series."""
-    beta = tuple(beta)
-    m = sum(beta)
-    if not 1 <= m <= table.max_beta_degree:
-        raise ValueError(
-            f"beta degree {m} outside the table range 1..{table.max_beta_degree}")
     germ = table.germ
     if f_series.n != germ.n:
         raise DimensionMismatch("series and map disagree on dimension")
     if f_series.center != germ.center:
         raise CenterMismatch("series and map disagree on the centre")
-    acc = None
-    for alpha in enumerate_upto(germ.n, m):
-        term = table.entries[(beta, alpha)].mul(f_series.derive(alpha))
-        acc = term if acc is None else acc + term
-    needed = (2 * m - 1) * table.profile.mu
+    beta = tuple(beta)
+    acc = _operator_sum(table, f_series, beta)
+    needed = (2 * sum(beta) - 1) * table.profile.mu
     if acc.trunc < needed:
         raise TruncationError(
             f"operator sum valid to degree {acc.trunc}, extraction needs "
@@ -195,11 +193,7 @@ def extraction_witness(prof, m):
         raise TruncationError(
             f"determinant truncation {prof.delta.trunc} below pivot degree "
             f"{target_degree}", needed_degree=target_degree)
-    power = prof.delta.truncated(target_degree) if prof.delta.trunc > target_degree \
-        else prof.delta
-    base = power
-    for _ in range(2 * m - 2):
-        power = power.mul(base, upto=target_degree)
+    power = _delta_power(prof.delta, 2 * m - 1, upto=target_degree)
     min_index = min(power.coeffs, key=grlex_key)
     expected_index = scale(prof.alpha, 2 * m - 1)
     return ExtractionWitness(

@@ -15,6 +15,7 @@ from germradius.cli import (
     parse_polynomial,
     run_job,
 )
+from germradius.polymap import Polynomial
 from helpers import series_of
 
 
@@ -37,6 +38,19 @@ def test_parse_square_expansion():
     lin = parse_expression("x+y", ["x", "y"])
     assert s.coeffs == (lin * lin).coeffs
     assert s.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+
+def test_parse_huge_exponent_is_one_monomial():
+    assert parse_expression("x^1000000000", ["x"]) == Polynomial(
+        1, {(1000000000,): 1})
+
+
+def test_power_matches_repeated_products():
+    base = parse_expression("1 + x", ["x"])
+    want = Polynomial.constant(1, 1)
+    for k in range(10):
+        assert base ** k == want
+        want = want * base
 
 
 def test_parse_unary_minus_and_parens():

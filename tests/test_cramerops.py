@@ -1,5 +1,7 @@
 """Operator table construction, the defining identity, and order bounds."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -163,6 +165,22 @@ def test_rebuild_is_bit_identical():
     for key in t1.entries:
         assert t1.entries[key] == t2.entries[key]
     assert table_to_dict(t1) == table_to_dict(t2)
+
+
+@pytest.mark.parametrize("make_germ, max_beta, digest", [
+    (lambda: cube_germ(degree=18), 3,
+     "5cb0b944a376155e9883022418753e8c94d8fbe88de322b23274795957270501"),
+    (lambda: blowup_germ(degree=12), 3,
+     "414c3486b262ad2290fab968dc576308bce2ff612be2d3a10a4611e0396afa62"),
+    (lambda: random_map(random.Random(41), 3, trunc=9, singular=True), 2,
+     "3a9f0acc1c98c204001fd551c910a6857b24bae4be7adaa6dfad1d7aa8317a83"),
+], ids=["cube", "blowup", "random3_singular"])
+def test_table_golden_digest(make_germ, max_beta, digest):
+    # pins whole tables (every entry and its truncation degree) across
+    # changes to the level recurrence
+    table = build_t_operators(make_germ(), max_beta)
+    dump = json.dumps(table_to_dict(table), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
 
 
 def test_germ_truncation_must_cover_work_degree():
