@@ -292,6 +292,12 @@ class _JobContext:
         return self.pmap.germ_at(self.job.center,
                                  self.job.degree if degree is None else degree)
 
+    def profile(self):
+        """Jacobian profile at the job degree, or at the map's default
+        profile degree when that is higher."""
+        return profile(self.germ(max(self.job.degree,
+                                     self.pmap.default_profile_degree())))
+
     def image_variables(self):
         names = self.job.payload.get("image_variables")
         if names is None:
@@ -324,25 +330,22 @@ class _JobContext:
 
 
 def _cmd_compose(ctx):
-    job = ctx.job
-    b = ctx.pmap.image_at(job.center)
+    germ = ctx.germ()
     g = ctx.series_payload("g", "g_expr", variables=ctx.image_variables(),
-                           center=b, degree=job.degree)
-    f = compose(g, ctx.germ())
+                           center=germ.image_point, degree=ctx.job.degree)
+    f = compose(g, germ)
     return {"command": "compose", "f": series_to_dict(f)}, {}
 
 
 def _cmd_profile(ctx):
-    degree = max(ctx.job.degree, ctx.pmap.default_profile_degree())
-    prof = profile(ctx.germ(degree))
-    return {"command": "profile", "profile": profile_to_dict(prof)}, {}
+    return {"command": "profile", "profile": profile_to_dict(ctx.profile())}, {}
 
 
 def _cmd_recover(ctx):
     job = ctx.job
     f = ctx.series_payload("f", "f_expr", variables=job.variables,
                            center=job.center, degree=job.degree)
-    prof = profile(ctx.germ(max(job.degree, ctx.pmap.default_profile_degree())))
+    prof = ctx.profile()
     target = job.payload.get("target_degree")
     if target is None:
         target = max_recoverable_degree(prof.mu, f.trunc)
@@ -513,8 +516,7 @@ def _cmd_verify(ctx):
                     ("roundtrip_degree", roundtrip_degree), ("seed", seed)):
         if not isinstance(v, int) or (name != "seed" and v < 1):
             raise JobError(f"verify payload {name} must be a positive int")
-    prof0 = profile(ctx.germ(max(job.degree, ctx.pmap.default_profile_degree())))
-    mu = prof0.mu
+    mu = ctx.profile().mu
     work = working_degree(mu, max(max_beta, roundtrip_degree))
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
                       job.degree)

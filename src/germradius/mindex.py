@@ -27,11 +27,6 @@ def validate(gamma, n=None):
     return gamma
 
 
-def degree(gamma):
-    """Total degree: the sum of the exponents."""
-    return sum(gamma)
-
-
 def grlex_key(gamma):
     """Sort key realizing the graded lexicographic order."""
     return (sum(gamma), gamma)

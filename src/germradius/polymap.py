@@ -1,9 +1,11 @@
 """Exact sparse polynomials and polynomial maps.
 
-These are the parser targets and the germ factories: a polynomial knows all
-of its coefficients, so it can be re-expanded exactly about any rational
-centre (finite Taylor shift) and materialized as a truncated series of any
-degree.  Grid sweeps recentre through here, never by numeric shifting.
+These are the parser targets and the germ factories.  Validation, sums and
+scalar multiples come from ``pseries``; this module adds the product, powers,
+the degree and the Taylor shift: a polynomial knows all of its coefficients,
+so it can be re-expanded exactly about any rational centre and materialized
+as a truncated series of any degree.  Grid sweeps recentre through here,
+never by numeric shifting.
 """
 
 from __future__ import annotations
@@ -12,8 +14,14 @@ from itertools import product
 from math import comb
 
 from .errors import DimensionMismatch
-from .pseries import MapGerm, TruncatedSeries, as_exact
-from .mindex import validate as validate_index
+from .pseries import (
+    MapGerm,
+    TruncatedSeries,
+    _add_into,
+    _clean_coeffs,
+    _scaled,
+    as_exact,
+)
 
 
 class Polynomial:
@@ -24,15 +32,8 @@ class Polynomial:
     def __init__(self, n, coeffs=None):
         if not isinstance(n, int) or n < 1:
             raise DimensionMismatch(f"dimension must be a positive int, got {n}")
-        clean = {}
-        if coeffs:
-            for gamma, value in coeffs.items():
-                gamma = validate_index(gamma, n)
-                value = as_exact(value)
-                if value:
-                    clean[gamma] = value
         self.n = n
-        self.coeffs = clean
+        self.coeffs = _clean_coeffs(coeffs, n)
 
     @classmethod
     def constant(cls, n, value):
@@ -50,10 +51,6 @@ class Polynomial:
             return 0
         return max(sum(g) for g in self.coeffs)
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
     def _check(self, other):
         if self.n != other.n:
             raise DimensionMismatch(
@@ -63,19 +60,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, other)
         self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            s = out.get(g, 0) + c
-            if s:
-                out[g] = s
-            elif g in out:
-                del out[g]
-        return Polynomial._raw(self.n, out)
+        return Polynomial._raw(self.n, _add_into(dict(self.coeffs), other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.n, {g: -c for g, c in self.coeffs.items()})
+        return Polynomial._raw(self.n, _scaled(self.coeffs, -1))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -87,12 +77,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            value = as_exact(other)
-            if not value:
-                return Polynomial._raw(self.n, {})
-            return Polynomial._raw(
-                self.n, {g: c * value for g, c in self.coeffs.items()})
+            return Polynomial._raw(self.n, _scaled(self.coeffs, as_exact(other)))
         self._check(other)
+        # own loop: through TruncatedSeries.mul, parse + germ_at took 12-21% longer
         out = {}
         for ga, ca in self.coeffs.items():
             for gb, cb in other.coeffs.items():
@@ -134,20 +121,6 @@ class Polynomial:
 
     __hash__ = None
 
-    def evaluate(self, point):
-        point = tuple(as_exact(p) for p in point)
-        if len(point) != self.n:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates for dimension {self.n}")
-        total = 0
-        for g, c in self.coeffs.items():
-            term = c
-            for p, e in zip(point, g):
-                if e:
-                    term *= p ** e
-            total += term
-        return as_exact(total) if total else 0
-
     def shifted_coeffs(self, point):
         """Coefficients about ``point``: binomial re-expansion, exact."""
         point = tuple(as_exact(p) for p in point)
@@ -156,6 +129,7 @@ class Polynomial:
                 f"point has {len(point)} coordinates for dimension {self.n}")
         if not any(point):
             return dict(self.coeffs)
+        # in place: a dict per source monomial summed by _add_into took 6-9% longer
         out = {}
         for delta, c in self.coeffs.items():
             for gamma in product(*(range(e + 1) for e in delta)):
@@ -215,9 +189,6 @@ class PolynomialMap:
     def default_profile_degree(self):
         """Germ truncation that decides vanishing orders exactly."""
         return self.jacobian_degree_bound() + 1
-
-    def image_at(self, point):
-        return tuple(c.evaluate(point) for c in self.components)
 
     def germ_at(self, point, trunc):
         return MapGerm([c.to_series(point, trunc) for c in self.components])

@@ -50,6 +50,45 @@ def rational_str(value):
     return str(Fraction(value))
 
 
+def _clean_coeffs(coeffs, n, trunc=None):
+    """Validated exact copy of ``coeffs`` without its zeros; with ``trunc``,
+    an index above that degree is an error."""
+    clean = {}
+    for gamma, value in (coeffs or {}).items():
+        gamma = validate_index(gamma, n)
+        if trunc is not None and sum(gamma) > trunc:
+            raise TruncationError(
+                f"index {gamma} exceeds truncation degree {trunc}",
+                needed_degree=sum(gamma))
+        value = as_exact(value)
+        if value:
+            clean[gamma] = value
+    return clean
+
+
+def _add_into(out, coeffs, factor=1):
+    """Add ``factor * coeffs`` into ``out`` in place, dropping the zeros the
+    sum makes; returns ``out``."""
+    # A plain sum skips the product: 1 * Fraction builds a new Fraction.
+    unit = factor == 1
+    for g, c in coeffs.items():
+        s = out.get(g, 0) + (c if unit else factor * c)
+        if s:
+            out[g] = s
+        elif g in out:
+            del out[g]
+    return out
+
+
+def _scaled(coeffs, value):
+    """``value * coeffs``; empty when ``value`` is zero."""
+    if not value:
+        return {}
+    if value == -1:  # negation without a Fraction product per coefficient
+        return {g: -c for g, c in coeffs.items()}
+    return {g: c * value for g, c in coeffs.items()}
+
+
 def _bucket_by_degree(coeffs):
     out = {}
     for g, c in coeffs.items():
@@ -71,21 +110,10 @@ class TruncatedSeries:
                 f"centre has {len(center)} coordinates for dimension {n}")
         if not isinstance(trunc, int) or trunc < 0:
             raise TruncationError(f"truncation degree must be >= 0, got {trunc}")
-        clean = {}
-        if coeffs:
-            for gamma, value in coeffs.items():
-                gamma = validate_index(gamma, n)
-                if sum(gamma) > trunc:
-                    raise TruncationError(
-                        f"index {gamma} exceeds truncation degree {trunc}",
-                        needed_degree=sum(gamma))
-                value = as_exact(value)
-                if value:
-                    clean[gamma] = value
         self.n = n
         self.center = center
         self.trunc = trunc
-        self.coeffs = clean
+        self.coeffs = _clean_coeffs(coeffs, n, trunc)
 
     @classmethod
     def _raw(cls, n, center, trunc, coeffs):
@@ -104,10 +132,6 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value, n, center, trunc):
         return cls(n, center, trunc, {(0,) * n: value})
-
-    @classmethod
-    def monomial(cls, gamma, n, center, trunc, coeff=1):
-        return cls(n, center, trunc, {tuple(gamma): coeff})
 
     # -- inspection ---------------------------------------------------------
 
@@ -166,37 +190,20 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_frame(other)
             t = min(self.trunc, other.trunc)
-            out = {}
-            for g, c in self.coeffs.items():
-                if sum(g) <= t:
-                    out[g] = c
-            for g, c in other.coeffs.items():
-                if sum(g) > t:
-                    continue
-                s = out.get(g, 0) + c
-                if s:
-                    out[g] = s
-                elif g in out:
-                    del out[g]
+            out = _add_into(dict(self.truncated(t).coeffs),
+                            other.truncated(t).coeffs)
             return TruncatedSeries._raw(self.n, self.center, t, out)
         value = as_exact(other)
         if not value:
             return self
-        key = (0,) * self.n
-        out = dict(self.coeffs)
-        s = out.get(key, 0) + value
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        out = _add_into(dict(self.coeffs), {(0,) * self.n: value})
         return TruncatedSeries._raw(self.n, self.center, self.trunc, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries._raw(
-            self.n, self.center, self.trunc,
-            {g: -c for g, c in self.coeffs.items()})
+            self.n, self.center, self.trunc, _scaled(self.coeffs, -1))
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -209,12 +216,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.mul(other)
-        value = as_exact(other)
-        if not value:
-            return TruncatedSeries._raw(self.n, self.center, self.trunc, {})
-        return TruncatedSeries._raw(
-            self.n, self.center, self.trunc,
-            {g: c * value for g, c in self.coeffs.items()})
+        return TruncatedSeries._raw(self.n, self.center, self.trunc,
+                                    _scaled(self.coeffs, as_exact(other)))
 
     __rmul__ = __mul__
 
@@ -381,13 +384,7 @@ def compose(g, germ):
         if sum(kappa) > t:
             break
         power = _monomial_power(kappa, cache, devs, t)
-        c = g.coeffs[kappa]
-        for gsrc, v in power.coeffs.items():
-            s = acc.get(gsrc, 0) + c * v
-            if s:
-                acc[gsrc] = s
-            elif gsrc in acc:
-                del acc[gsrc]
+        _add_into(acc, power.coeffs, g.coeffs[kappa])
     return TruncatedSeries._raw(germ.n, germ.center, t, acc)
 
 

@@ -179,17 +179,10 @@ def stratify(pmap, grid, degree=None):
 # -- CSV export (the plotting boundary) --------------------------------------
 
 
-def shells_to_csv(estimate, label=None):
-    """Per-shell table '(label,)degree,shell_value' as one CSV string."""
-    lines = []
-    if label is None:
-        lines.append("degree,shell_value")
-        for d, v in estimate.per_shell:
-            lines.append(f"{d},{v!r}")
-    else:
-        lines.append("label,degree,shell_value")
-        for d, v in estimate.per_shell:
-            lines.append(f"{label},{d},{v!r}")
+def shells_to_csv(estimate):
+    """Per-shell table 'degree,shell_value' as one CSV string."""
+    lines = ["degree,shell_value"]
+    lines.extend(f"{d},{v!r}" for d, v in estimate.per_shell)
     return "\n".join(lines) + "\n"
 
 

@@ -159,6 +159,17 @@ def test_compose_command(tmp_path):
     assert f.coeffs == {(6,): 1}
 
 
+def test_compose_command_off_origin(tmp_path):
+    # the map sends 1/2 to 5/4, so g = y^3 is re-expanded about 5/4
+    path = write_job(tmp_path, command="compose", n=1, variables=["x"],
+                     map=["x^2 + 1"], center=["1/2"], degree=6, g_expr="y^3")
+    out = tmp_path / "out"
+    assert main(["compose", "--job", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert series_from_dict(report["f"]) == parse_polynomial(
+        "(x^2 + 1)^3", ["x"], center=(Fraction(1, 2),), degree=6)
+
+
 def test_recover_command_geometric(tmp_path):
     # F = 1 + 4 x^2 + 16 x^4 + 64 x^6 through x^2: G_k = 4^k, zero residual
     f = series_of("1 + 4*x^2 + 16*x^4 + 64*x^6", ["x"], degree=7)

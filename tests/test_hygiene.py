@@ -1,9 +1,11 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+every function, method and class the library defines is referenced."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "germradius"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "germradius"
 
 
 def _unused_imports(path):
@@ -30,3 +32,35 @@ def test_library_modules_use_every_import():
               for path in sorted(SRC.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            # both: `validate` is imported as `validate_index`
+            yield node.name
+            if node.asname:
+                yield node.asname
+
+
+def test_library_definitions_are_referenced():
+    # by name only, so a variable or another class's method of the same
+    # name hides a dead definition
+    referenced = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            referenced.update(_referenced_names(ast.parse(path.read_text())))
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in referenced):
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []
