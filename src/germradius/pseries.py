@@ -12,7 +12,8 @@ Truncation propagates through arithmetic as the min of the operand degrees;
 differentiation of order alpha lowers it by |alpha|; composition keeps the
 min of the series and map degrees, which is sound because every substituted
 component vanishes at the centre, so deeper coefficients of the outer series
-cannot reach down.
+cannot reach down.  ``compose`` clears denominators once: its products and
+sums run over plain ints, with one division per output coefficient.
 
 Series values are immutable once constructed: every operation returns a new
 object and instances can be shared freely between threads.
@@ -330,6 +331,19 @@ class MapGerm:
         return f"MapGerm(n={self.n}, trunc={self.trunc})"
 
 
+def _cleared(series_list):
+    """Clear denominators once: the least common denominator of every
+    coefficient in ``series_list``, and each series scaled by it, whose
+    coefficients are then plain ints."""
+    den = math.lcm(*(c.denominator for s in series_list
+                     for c in s.coeffs.values()))
+    return den, [
+        TruncatedSeries._raw(s.n, s.center, s.trunc, {
+            g: c.numerator * (den // c.denominator)
+            for g, c in s.coeffs.items()})
+        for s in series_list]
+
+
 def _monomial_power(kappa, cache, devs, cap):
     """(devs)^kappa with memoized predecessors, built without recursion."""
     stack = [kappa]
@@ -356,6 +370,11 @@ def compose(g, germ):
     centred at the germ's centre with truncation min(g.trunc, germ.trunc);
     coefficients up to that degree depend only on the retained coefficients
     of both inputs because every substituted deviation has order >= 1.
+
+    The deviations are scaled once by the least common denominator L of
+    their coefficients, and each weight g_κ / L^|κ| is written over one
+    common denominator M, so the powers and their weighted sum are computed
+    over the integers; each output coefficient is then one division by M.
     """
     if not isinstance(germ, MapGerm):
         raise TypeError("compose expects a MapGerm as its second argument")
@@ -371,20 +390,23 @@ def compose(g, germ):
         if d.coeffs.get((0,) * germ.n):
             raise CompositionError(
                 "map component has a nonzero deviation at the centre")
-    zero_src = (0,) * germ.n
-    zero_img = (0,) * g.n
+    den, devs = _cleared(devs)
+    weights = {}  # g_κ / den^|κ| in lowest terms: (numerator, denominator)
+    for kappa, c in g.coeffs.items():
+        if sum(kappa) <= t:
+            scale = den ** sum(kappa)
+            r = math.gcd(c.numerator, scale)
+            weights[kappa] = c.numerator // r, c.denominator * (scale // r)
+    m = math.lcm(*(q for _, q in weights.values()))
+    zero = (0,) * germ.n
+    cache = {zero: TruncatedSeries._raw(germ.n, germ.center, t, {zero: 1})}
     acc = {}
-    const = g.coeffs.get(zero_img)
-    if const:
-        acc[zero_src] = const
-    cache = {zero_img: TruncatedSeries._raw(germ.n, germ.center, t, {zero_src: 1})}
-    for kappa in sorted(g.coeffs, key=grlex_key):
-        if sum(kappa) == 0:
-            continue
-        if sum(kappa) > t:
-            break
+    for kappa in sorted(weights, key=grlex_key):
+        p, q = weights[kappa]
         power = _monomial_power(kappa, cache, devs, t)
-        _add_into(acc, power.coeffs, g.coeffs[kappa])
+        _add_into(acc, power.coeffs, p * (m // q))
+    if m != 1:
+        acc = {k: as_exact(Fraction(v, m)) for k, v in acc.items()}
     return TruncatedSeries._raw(germ.n, germ.center, t, acc)
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
 from .cramerops import (
@@ -41,6 +40,7 @@ from .jacobian import SeriesMatrix, profile
 from .mindex import grlex_key, mi_factorial, scale
 from .pseries import (
     TruncatedSeries,
+    _cleared,
     as_exact,
     compose,
     rational_str,
@@ -95,15 +95,11 @@ def _integer_copies(prof):
     coefficients, and both scaled by c.  Scaling multiplies every level-m
     operator sum by c^(2m-1), which the divisor absorbs exactly, and it keeps
     the hot arithmetic in plain integers."""
-    series = [prof.delta] + [e for row in prof.adjugate.rows for e in row]
-    den = lcm(*(Fraction(c).denominator
-                for s in series for c in s.coeffs.values()))
-
-    def scaled(s):
-        coeffs = {g: as_exact(v * den) for g, v in s.coeffs.items()}
-        return TruncatedSeries._raw(s.n, s.center, s.trunc, coeffs)
-    return den, scaled(prof.delta), SeriesMatrix(
-        [[scaled(e) for e in row] for row in prof.adjugate.rows])
+    rows = prof.adjugate.rows
+    den, (delta, *entries) = _cleared(
+        [prof.delta] + [e for row in rows for e in row])
+    flat = iter(entries)
+    return den, delta, SeriesMatrix([[next(flat) for _ in row] for row in rows])
 
 
 def recover(germ, f_series, target_degree, trace=False):

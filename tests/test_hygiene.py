@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-every function, method and class the library defines is referenced."""
+"""Source hygiene: every name a library module imports is used there, every
+function, method and class the library defines is referenced, and floating
+point stays in radius.py."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,33 @@ def test_library_definitions_are_referenced():
                     and node.name not in referenced):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+_FLOAT_MATH = {"log", "exp", "sqrt", "pow"}
+
+
+def _floating_point_uses(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float()"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "math"
+              and node.attr in _FLOAT_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"math.{alias.name}")
+                         for alias in node.names if alias.name in _FLOAT_MATH)
+    return found
+
+
+def test_floating_point_stays_in_radius():
+    # math.inf, the order sentinel of order_at_center, stays allowed
+    uses = {path.name: _floating_point_uses(path)
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "radius.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert _floating_point_uses(SRC / "radius.py")

@@ -1,5 +1,6 @@
 """Series arithmetic, differentiation, composition, and serialization."""
 
+import hashlib
 import json
 import math
 import random
@@ -17,10 +18,18 @@ from germradius import (
     chain_rule_residuals,
     compose,
     product_coefficient,
+    recover,
     series_from_dict,
     series_to_dict,
 )
-from helpers import germ_of, identity_germ, random_series, series_of
+from germradius.mindex import enumerate_upto
+from helpers import (
+    germ_of,
+    identity_germ,
+    random_series,
+    series_of,
+    square_germ,
+)
 
 
 def S(coeffs, n=1, center=None, trunc=8):
@@ -196,6 +205,106 @@ def test_chain_rule_exact():
         g = random_series(rng, germ.n, 4, center=germ.image_point, trunc=7)
         for residual in chain_rule_residuals(g, germ):
             assert residual.is_zero
+
+
+def _compose_reference(g, germ):
+    """Σ_κ g_κ·Π_i dev_i^κ_i by plain products and sums over Fraction."""
+    t = min(g.trunc, germ.trunc)
+    devs = [d.truncated(t) for d in germ.deviations()]
+    one = TruncatedSeries.constant(1, germ.n, germ.center, t)
+    acc = TruncatedSeries.zero(germ.n, germ.center, t)
+    for kappa, c in g.coeffs.items():
+        if sum(kappa) > t:
+            continue
+        term = one
+        for dev, e in zip(devs, kappa):
+            for _ in range(e):
+                term = term.mul(dev)
+        acc = acc + term * Fraction(c)
+    return acc
+
+
+def _random_coeffs(rng, n, degree, rational, skip_constant=False):
+    coeffs = {}
+    for gamma in enumerate_upto(n, degree):
+        if (skip_constant and not sum(gamma)) or rng.random() > 0.6:
+            continue
+        c = rng.randint(-5, 5)
+        coeffs[gamma] = Fraction(c, rng.randint(1, 9)) if rational else c
+    return coeffs
+
+
+def _random_germ(rng, n, trunc, rational):
+    """Germ of random polynomials of degree <= 3; a rational germ has a
+    rational centre and Fraction coefficients."""
+    center = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+                   if rational else rng.randint(-2, 2) for _ in range(n))
+    return MapGerm([
+        TruncatedSeries(n, center, trunc,
+                        _random_coeffs(rng, n, min(trunc, 3), rational))
+        for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compose_matches_fraction_reference(n):
+    rng = random.Random(100 + n)
+    germ_trunc = {1: 9, 2: 6, 3: 4}[n]
+    cases = []
+    for rational in (True, False):
+        germ = _random_germ(rng, n, germ_trunc, rational)
+        b = germ.image_point
+        for g_trunc, skip_constant in ((germ_trunc, False),
+                                       (germ_trunc + 2, False),
+                                       (germ_trunc - 1, True)):
+            coeffs = _random_coeffs(rng, n, g_trunc, rational, skip_constant)
+            cases.append((TruncatedSeries(n, b, g_trunc, coeffs), germ))
+        cases.append((TruncatedSeries(n, b, germ_trunc + 1, {}), germ))
+    # L = 15 and M = 10, and the coefficient at e_0 is the whole number 1
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    halves = MapGerm([TruncatedSeries(n, (Fraction(1, 2),) * n, 4, {
+        (0,) * n: 1, e[i]: Fraction(2, 3), tuple(2 * k for k in e[i]):
+        Fraction(1, 5)}) for i in range(n)])
+    cases.append((TruncatedSeries(n, (1,) * n, 4, {e[0]: Fraction(3, 2)}),
+                  halves))
+    for g, germ in cases:
+        got = compose(g, germ)
+        ref = _compose_reference(g, germ)
+        assert got.coeffs == ref.coeffs
+        assert (got.trunc, got.center) == (ref.trunc, ref.center)
+        assert got.trunc == min(g.trunc, germ.trunc)
+        assert all(type(c) is int for c in got.coeffs.values()
+                   if Fraction(c).denominator == 1)
+
+
+def _sqrt_recovery():
+    a = Fraction(7, 13)
+    germ = square_germ(degree=61, center=(a,))
+    f = series_of("x", ["x"], center=(a,), degree=60)
+    return recover(germ, f, 60)
+
+
+def _rational_2d_composite():
+    center = (Fraction(1, 3), Fraction(-2, 5))
+    germ = germ_of(["x + (1/3)*y^2 - 1/2", "2*y - x*y + (3/7)*x^3"],
+                   ["x", "y"], center=center, degree=7)
+    rng = random.Random(29)
+    g = TruncatedSeries(2, germ.image_point, 7,
+                        _random_coeffs(rng, 2, 7, rational=True))
+    return compose(g, germ)
+
+
+@pytest.mark.parametrize("make_series, digest", [
+    (lambda: _sqrt_recovery().g_series,
+     "50b2881cb7c41e137b636b19d79fe6458bd0e39b1da1b471f325c062ca232a7c"),
+    (lambda: _sqrt_recovery().residual,
+     "0ed6dda4960e33feae0066b562e9701942fd4c66b61f1b3fae49e01346cb02d3"),
+    (_rational_2d_composite,
+     "f514d9aa26021b97f8376ab5e3f2adf47fd34c1aaf1a56b8afe9f760369b90f4"),
+], ids=["sqrt_g", "sqrt_residual", "rational_2d"])
+def test_composed_series_golden_digest(make_series, digest):
+    # pins the composed series across changes to compose's arithmetic
+    dump = json.dumps(series_to_dict(make_series()), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
 
 
 def test_product_coefficient_matches_full_product():
