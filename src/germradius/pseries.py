@@ -15,6 +15,13 @@ component vanishes at the centre, so deeper coefficients of the outer series
 cannot reach down.  ``compose`` clears denominators once: its products and
 sums run over plain ints, with one division per output coefficient.
 
+Products work on packed exponents (Monagan & Pearce's packed exponent
+vectors): for a product capped at degree t, each exponent tuple becomes one
+int with t.bit_length() bits per coordinate, so the exponent of a product
+term is one integer addition, and each surviving key is unpacked once at the
+end.  Terms above the cap are skipped before packing; they cannot reach the
+product, and their coordinates could overflow into the next field.
+
 Series values are immutable once constructed: every operation returns a new
 object and instances can be shared freely between threads.
 """
@@ -90,11 +97,29 @@ def _scaled(coeffs, value):
     return {g: c * value for g, c in coeffs.items()}
 
 
-def _bucket_by_degree(coeffs):
+def _packed_by_degree(coeffs, t, shift):
+    """Degree buckets of (packed exponent, coefficient) for the terms of
+    degree <= t: ``shift`` bits per coordinate, the first one lowest."""
     out = {}
     for g, c in coeffs.items():
-        out.setdefault(sum(g), []).append((g, c))
+        d = sum(g)
+        if d > t:
+            continue
+        key = 0
+        for e in reversed(g):
+            key = key << shift | e
+        out.setdefault(d, []).append((key, c))
     return out
+
+
+def _unpacked(acc, n, shift):
+    """Exponent-tuple dict of the nonzero packed terms in ``acc``."""
+    if n == 1:  # a 1-D key is the exponent itself
+        return {(k,): c for k, c in acc.items() if c}
+    mask = (1 << shift) - 1
+    shifts = range(0, n * shift, shift)
+    return {tuple([k >> s & mask for s in shifts]): c
+            for k, c in acc.items() if c}
 
 
 class TruncatedSeries:
@@ -224,35 +249,40 @@ class TruncatedSeries:
 
     def mul(self, other, upto=None):
         """Cauchy product truncated at min of the operand degrees, or lower
-        when ``upto`` caps it.  Degree buckets keep the cost proportional to
-        the coefficient pairs that can actually land within the cap."""
+        when ``upto`` caps it.
+
+        Exponents are packed ``shift`` = t.bit_length() bits per coordinate
+        for the cap t, so a product exponent is one integer addition.  Only
+        terms of degree <= t are packed: a sum of two of them within the cap
+        keeps every coordinate below 2**shift, so no field carries into the
+        next, while a skipped term could not have landed within the cap.
+        Degree buckets keep the cost proportional to the pairs that do land
+        there; zeros are dropped once, when the keys are unpacked."""
         self._require_same_frame(other)
         t = min(self.trunc, other.trunc)
         if upto is not None and upto < t:
             t = upto
         if t < 0:
             raise TruncationError("product capped below degree 0")
-        a = _bucket_by_degree(self.coeffs)
-        b = _bucket_by_degree(other.coeffs)
-        if len(self.coeffs) > len(other.coeffs):
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
             a, b = b, a
-        out = {}
+        shift = t.bit_length() or 1
+        a = _packed_by_degree(a, t, shift)
+        b = _packed_by_degree(b, t, shift)
+        acc = {}
+        get = acc.get
         for da, items_a in a.items():
             room = t - da
-            if room < 0:
-                continue
             for db, items_b in b.items():
                 if db > room:
                     continue
-                for ga, ca in items_a:
-                    for gb, cb in items_b:
-                        key = tuple(x + y for x, y in zip(ga, gb))
-                        s = out.get(key, 0) + ca * cb
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
-        return TruncatedSeries._raw(self.n, self.center, t, out)
+                for ka, ca in items_a:
+                    for kb, cb in items_b:
+                        key = ka + kb
+                        acc[key] = get(key, 0) + ca * cb
+        return TruncatedSeries._raw(self.n, self.center, t,
+                                    _unpacked(acc, self.n, shift))
 
     def derive(self, alpha):
         """Formal derivative of mixed order ``alpha``; lowers trunc by |alpha|."""
