@@ -1,4 +1,5 @@
-"""Shared fixture builders: parsed germs and seeded random series/maps."""
+"""Shared fixture builders (parsed germs, seeded random series and maps)
+and the reference product that tests check ``TruncatedSeries.mul`` against."""
 
 from fractions import Fraction
 
@@ -39,6 +40,26 @@ def cube_germ(degree=16, center=None):
 
 def blowup_germ(degree=8, center=None):
     return germ_of(["x", "x*y"], ["x", "y"], center=center, degree=degree)
+
+
+def reference_mul(a, b, upto=None):
+    """Truncated Cauchy product of two series in one frame, term pair by
+    term pair on exponent tuples: the oracle for ``TruncatedSeries.mul``."""
+    t = min(a.trunc, b.trunc)
+    if upto is not None:
+        t = min(t, upto)
+    out = {}
+    for ga, ca in a.coeffs.items():
+        for gb, cb in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(ga, gb))
+            if sum(key) > t:
+                continue
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return TruncatedSeries(a.n, a.center, t, out)
 
 
 def random_series(rng, n, degree, center=None, span=4, density=0.7,

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germradius import (
     CenterMismatch,
@@ -27,6 +28,7 @@ from helpers import (
     germ_of,
     identity_germ,
     random_series,
+    reference_mul,
     series_of,
     square_germ,
 )
@@ -119,6 +121,134 @@ def test_ring_laws_on_random_series():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+# -- products against the term-pair reference ---------------------------------
+
+
+def _assert_mul_matches_reference(a, b, upto=None):
+    got = a.mul(b, upto=upto)
+    ref = reference_mul(a, b, upto)
+    assert got.coeffs == ref.coeffs
+    assert got.trunc == ref.trunc
+    assert all(got.coeffs.values())
+
+
+def _exponent(rng, n, d):
+    """A random exponent tuple of total degree ``d``."""
+    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, d]))
+
+
+def _coeff(rng, rational):
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Fraction(c, rng.randint(1, 5)) if rational else c
+
+
+def _sparse_series(rng, n, cap, rational, count, trunc):
+    """Random terms of degree <= ``cap``, three above it, and one per
+    coordinate whose exponent is at least 2**cap.bit_length()."""
+    wide = 2 ** (cap.bit_length() or 1)
+    coeffs = {_exponent(rng, n, rng.randint(0, cap)): _coeff(rng, rational)
+              for _ in range(count)}
+    for _ in range(3):
+        coeffs[_exponent(rng, n, rng.randint(cap + 1, trunc))] = \
+            _coeff(rng, rational)
+    for i in range(n):
+        coeffs[tuple(wide + i if k == i else 0 for k in range(n))] = \
+            _coeff(rng, rational)
+    return TruncatedSeries(n, (0,) * n, trunc, coeffs)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mul_matches_reference_across_packing_widths(n, rational):
+    # caps on both sides of each bit-length edge; every operand also holds
+    # terms above the cap whose exponents would overflow a packed field
+    rng = random.Random(10 * n + rational)
+    for cap in (0, 1, 2, 3, 4, 7, 8, 15, 16):
+        trunc = 2 ** (cap.bit_length() or 1) + cap + n
+        a = _sparse_series(rng, n, cap, rational, 2 * cap + 3, trunc)
+        b = _sparse_series(rng, n, cap, rational, 2 * cap + 3, trunc)
+        _assert_mul_matches_reference(a, b, upto=cap)
+        _assert_mul_matches_reference(b, a, upto=cap)
+        _assert_mul_matches_reference(a, a, upto=cap)
+        # the cap set by an operand's truncation instead of ``upto``
+        _assert_mul_matches_reference(a.truncated(cap), b)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 300), (2, 260)])
+def test_mul_matches_reference_at_wide_caps(n, cap):
+    rng = random.Random(cap)
+    a = _sparse_series(rng, n, cap, False, 60, 2 * cap)
+    b = _sparse_series(rng, n, cap, True, 60, 2 * cap)
+    _assert_mul_matches_reference(a, b, upto=cap)
+    _assert_mul_matches_reference(a.truncated(cap), b)
+
+
+def test_mul_drops_cancelled_terms():
+    x_plus_y = S({(1, 0): 1, (0, 1): 1}, n=2)
+    x_minus_y = S({(1, 0): 1, (0, 1): -1}, n=2)
+    assert (x_plus_y * x_minus_y).coeffs == {(2, 0): 1, (0, 2): -1}
+    _assert_mul_matches_reference(x_plus_y, x_minus_y)
+    halves = S({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}, n=2)
+    other = S({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3)}, n=2)
+    assert (halves * other).coeffs == {(2, 0): Fraction(1, 4),
+                                       (0, 2): Fraction(-1, 9)}
+    _assert_mul_matches_reference(halves, other)
+    # (1 + x)(1 - x + x^2) = 1 + x^3: capped at 2 only the 1 is left
+    one_plus_x = S({(0,): 1, (1,): 1})
+    rest = S({(0,): 1, (1,): -1, (2,): 1})
+    assert one_plus_x.mul(rest, upto=2).coeffs == {(0,): 1}
+    _assert_mul_matches_reference(one_plus_x, rest, upto=2)
+
+
+_COEFFS = st.one_of(st.integers(-9, 9),
+                    st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _series_in_one_frame(draw, count):
+    """``count`` sparse series in one dimension 1-3, each with its own
+    truncation, and a product cap (or none)."""
+    n = draw(st.integers(1, 3))
+    series = []
+    for _ in range(count):
+        trunc = draw(st.integers(0, 7))
+        # a multiset of at most ``trunc`` variables is a monomial within it
+        index = st.lists(st.integers(0, n - 1), max_size=trunc).map(
+            lambda vs: tuple(vs.count(i) for i in range(n)))
+        coeffs = draw(st.dictionaries(index, _COEFFS, max_size=8))
+        series.append(TruncatedSeries(n, (0,) * n, trunc, coeffs))
+    return series, draw(st.none() | st.integers(0, 7))
+
+
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(_series_in_one_frame(2))
+def test_mul_is_commutative_and_matches_reference(drawn):
+    (a, b), upto = drawn
+    ab = a.mul(b, upto=upto)
+    assert ab == b.mul(a, upto=upto)
+    assert ab == reference_mul(a, b, upto)
+
+
+@_PROPERTY
+@given(_series_in_one_frame(3))
+def test_mul_is_associative_under_a_common_cap(drawn):
+    (a, b, c), upto = drawn
+    assert (a.mul(b, upto=upto).mul(c, upto=upto)
+            == a.mul(b.mul(c, upto=upto), upto=upto))
+
+
+@_PROPERTY
+@given(_series_in_one_frame(3))
+def test_mul_distributes_over_addition(drawn):
+    (a, b, c), upto = drawn
+    assert (a.mul(b + c, upto=upto)
+            == a.mul(b, upto=upto) + a.mul(c, upto=upto))
 
 
 # -- differentiation ----------------------------------------------------------
