@@ -16,14 +16,11 @@ from .errors import (
     GermRadiusError,
     InsufficientShellsError,
     JobError,
-    NotPolynomialError,
     ParseError,
     SingularJacobianError,
     TruncationError,
 )
 from .mindex import (
-    compare,
-    count_upto,
     enumerate_degree,
     enumerate_upto,
     grlex_key,
@@ -45,7 +42,6 @@ from .jacobian import (
     JacobianProfile,
     SeriesMatrix,
     adjugate,
-    coefficient_bound_constants,
     determinant,
     identity_matrix,
     jacobian_matrix,
@@ -65,7 +61,6 @@ from .cramerops import (
 )
 from .recovery import (
     RecoveryReport,
-    assemble_H,
     extraction_witness,
     max_recoverable_degree,
     recover,

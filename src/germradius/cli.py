@@ -227,6 +227,24 @@ class JobSpec:
     payload: dict
 
 
+def _job_int(value, name, minimum=None):
+    """An integer job field; a bool, a non-int or a value below ``minimum``
+    is an input error."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise JobError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
+def _series_literal(literal, context):
+    """A series from its JSON literal; a malformed one is an input error."""
+    try:
+        return series_from_dict(literal)
+    except (ValueError, GermRadiusError) as exc:
+        raise JobError(f"bad series literal {context}: {exc}") from exc
+
+
 def _exact_from_json(value, context):
     try:
         return as_exact(value if isinstance(value, int) else str(value))
@@ -251,9 +269,7 @@ def load_job(path, command=None):
             f"job file says command {data['command']!r} but {command!r} was requested")
     if job_command not in COMMANDS:
         raise JobError(f"unknown command {job_command!r}")
-    n = data.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise JobError(f"n must be a positive integer, got {n!r}")
+    n = _job_int(data.get("n"), "n", 1)
     variables = data.get("variables")
     if (not isinstance(variables, list) or len(variables) != n
             or any(not isinstance(v, str) or not v for v in variables)
@@ -267,9 +283,7 @@ def load_job(path, command=None):
     if not isinstance(center_raw, list) or len(center_raw) != n:
         raise JobError(f"center must be a list of {n} rationals")
     center = tuple(_exact_from_json(c, "center") for c in center_raw)
-    degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
-        raise JobError(f"degree must be an integer >= 1, got {degree!r}")
+    degree = _job_int(data.get("degree"), "degree", 1)
     payload = {k: v for k, v in data.items() if k not in _CORE_KEYS}
     return JobSpec(command=job_command, n=n, variables=list(variables),
                    map_exprs=list(map_exprs), center=center, degree=degree,
@@ -283,8 +297,12 @@ class _JobContext:
     def __init__(self, job, out_dir, window=None, trace=False):
         self.job = job
         self.out = Path(out_dir)
-        self.window = window if window is not None else job.payload.get("window", 10)
-        self.trace = trace or bool(job.payload.get("trace"))
+        self.window = (_job_int(window, "--window", 1) if window is not None
+                       else _job_int(job.payload.get("window", 10), "window", 1))
+        payload_trace = job.payload.get("trace", False)
+        if not isinstance(payload_trace, bool):
+            raise JobError(f"trace must be true or false, got {payload_trace!r}")
+        self.trace = trace or payload_trace
         self.pmap = PolynomialMap(
             [parse_expression(e, job.variables) for e in job.map_exprs])
 
@@ -310,23 +328,17 @@ class _JobContext:
         return list(names)
 
     def series_payload(self, literal_key, expr_key, *, variables, center,
-                       degree, required=True):
+                       degree):
         """A series from either a literal or an expression payload field."""
         literal = self.job.payload.get(literal_key)
         expr = self.job.payload.get(expr_key)
         if literal is not None and expr is not None:
             raise JobError(f"give {literal_key!r} or {expr_key!r}, not both")
         if literal is not None:
-            try:
-                return series_from_dict(literal)
-            except (ValueError, GermRadiusError) as exc:
-                raise JobError(f"bad series literal {literal_key!r}: {exc}") from exc
-        if expr is not None:
-            poly = parse_expression(expr, variables)
-            return poly.to_series(center, degree)
-        if required:
+            return _series_literal(literal, repr(literal_key))
+        if expr is None:
             raise JobError(f"missing {literal_key!r} (or {expr_key!r}) payload")
-        return None
+        return parse_expression(expr, variables).to_series(center, degree)
 
 
 def _cmd_compose(ctx):
@@ -349,8 +361,8 @@ def _cmd_recover(ctx):
     target = job.payload.get("target_degree")
     if target is None:
         target = max_recoverable_degree(prof.mu, f.trunc)
-    elif not isinstance(target, int) or target < 0:
-        raise JobError(f"target_degree must be a nonnegative int, got {target!r}")
+    else:
+        _job_int(target, "target_degree", 0)
     germ = ctx.germ(max(working_degree(prof.mu, max(target, 1)) + 1, job.degree))
     report = recover(germ, f, target, trace=ctx.trace)
     return {
@@ -391,6 +403,8 @@ def _cmd_stratify(ctx):
     job = ctx.job
     points = _grid_points(job)
     degree = job.payload.get("profile_degree")
+    if degree is not None:
+        _job_int(degree, "profile_degree", 1)
     strat = stratify(ctx.pmap, points, degree=degree)
     report = {
         "command": "stratify",
@@ -412,14 +426,14 @@ def _cmd_stratify(ctx):
     return report, files
 
 
-def _family_member_series(ctx, member, key, idx):
-    literal = member.get(key)
-    if literal is None:
-        return None
+def _fit_entry(rows, x, y):
+    """One scaling fit as a report entry, or the error that stopped it."""
     try:
-        return series_from_dict(literal)
-    except (ValueError, GermRadiusError) as exc:
-        raise JobError(f"bad series literal in family[{idx}].{key}: {exc}") from exc
+        fit = scaling_fit(rows, x=x, y=y)
+    except GermRadiusError as exc:
+        return {"error": str(exc)}
+    return {"slope": fit.slope, "intercept": fit.intercept,
+            "max_abs_residual": fit.max_abs_residual}
 
 
 def _cmd_radius(ctx):
@@ -454,9 +468,9 @@ def _cmd_radius(ctx):
         row = {"t": str(Fraction(t_val)) if t_val is not None else None}
         radii = {}
         for key in ("f", "g"):
-            series = _family_member_series(ctx, member, key, idx)
-            if series is None:
+            if member.get(key) is None:
                 continue
+            series = _series_literal(member[key], f"in family[{idx}].{key}")
             est = estimate_radius(series, window=window)
             radii[key] = est.estimate
             row[f"r_{key}"] = est.estimate
@@ -465,31 +479,18 @@ def _cmd_radius(ctx):
                 f"{label},{d},{v!r}" for d, v in est.per_shell)
         members.append(row)
         fit_rows.append((t_val, radii.get("f"), radii.get("g")))
-    report = {"command": "radius", "window": window, "members": members,
-              "fits": {}}
+    fits = {}
     if all(rf is not None and rg is not None for _, rf, rg in fit_rows):
-        try:
-            fit = scaling_fit([(0, rf, rg) for _, rf, rg in fit_rows],
-                              x="r_f", y="r_g")
-            report["fits"]["log_rg_vs_log_rf"] = {
-                "slope": fit.slope, "intercept": fit.intercept,
-                "max_abs_residual": fit.max_abs_residual}
-        except GermRadiusError as exc:
-            report["fits"]["log_rg_vs_log_rf"] = {"error": str(exc)}
+        fits["log_rg_vs_log_rf"] = _fit_entry(
+            [(0, rf, rg) for _, rf, rg in fit_rows], "r_f", "r_g")
     if all(t is not None for t, _, _ in fit_rows):
+        by_t = [(abs(Fraction(t)), rf or 1, rg or 1) for t, rf, rg in fit_rows]
         for key, pos in (("r_f", 1), ("r_g", 2)):
-            if any(row[pos] is None for row in fit_rows):
-                continue
-            try:
-                fit = scaling_fit(
-                    [(abs(Fraction(t)), rf or 1, rg or 1)
-                     for t, rf, rg in fit_rows], x="t", y=key)
-                report["fits"][f"log_{key}_vs_log_t"] = {
-                    "slope": fit.slope, "intercept": fit.intercept,
-                    "max_abs_residual": fit.max_abs_residual}
-            except GermRadiusError as exc:
-                report["fits"][f"log_{key}_vs_log_t"] = {"error": str(exc)}
-    return report, {"shells.csv": "\n".join(csv_parts) + "\n"}
+            if all(row[pos] is not None for row in fit_rows):
+                fits[f"log_{key}_vs_log_t"] = _fit_entry(by_t, "t", key)
+    return ({"command": "radius", "window": window, "members": members,
+             "fits": fits},
+            {"shells.csv": "\n".join(csv_parts) + "\n"})
 
 
 def _random_series(rng, n, center, degree, span=3, trunc=None):
@@ -513,9 +514,9 @@ def _cmd_verify(ctx):
     seed = payload.get("seed", 0)
     for name, v in (("max_beta", max_beta), ("monomial_degree", monomial_degree),
                     ("extraction_max", extraction_max),
-                    ("roundtrip_degree", roundtrip_degree), ("seed", seed)):
-        if not isinstance(v, int) or (name != "seed" and v < 1):
-            raise JobError(f"verify payload {name} must be a positive int")
+                    ("roundtrip_degree", roundtrip_degree)):
+        _job_int(v, f"verify payload {name}", 1)
+    _job_int(seed, "verify payload seed")
     mu = ctx.profile().mu
     work = working_degree(mu, max(max_beta, roundtrip_degree))
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
@@ -592,9 +593,7 @@ def run_job(job, out_dir, degree_override=None, window_override=None,
             trace=False):
     """Run one job, write report.json (and any CSV files), return the report."""
     if degree_override is not None:
-        if degree_override < 1:
-            raise JobError("--degree must be >= 1")
-        job.degree = degree_override
+        job.degree = _job_int(degree_override, "--degree", 1)
     ctx = _JobContext(job, out_dir, window=window_override, trace=trace)
     report, files = _HANDLERS[job.command](ctx)
     ctx.out.mkdir(parents=True, exist_ok=True)

@@ -49,6 +49,7 @@ from .pseries import (
     MapGerm,
     TruncatedSeries,
     _monomial_power,
+    _sum_of_products,
     compose,
     series_to_dict,
 )
@@ -111,11 +112,8 @@ class _LevelBuilder:
 
     def _contract(self, grad, j, target=None):
         """Σ_i adj[i][j] · grad[i], capped at ``target``."""
-        acc = None
-        for i in range(self.n):
-            term = self.adj.entry(i, j).mul(grad[i], upto=target)
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum_of_products(
+            ((self.adj.entry(i, j), grad[i]) for i in range(self.n)), target)
 
     def _step(self, prev, grad, j, m, target):
         """delta · Σ_i adj[i][j] · grad[i] - (2m - 1) · s_j · prev: the
@@ -168,13 +166,11 @@ class _LevelBuilder:
                 for beta_new, j, beta in self._parents(m)}
 
 
-def iter_t_levels(germ, max_beta_degree, work_degree, prof=None):
+def iter_t_levels(germ, max_beta_degree, work_degree, prof):
     """Yield (m, level entries) for m = 1..max_beta_degree, one level at a
-    time."""
+    time, from the germ's profile ``prof``."""
     if max_beta_degree < 1:
         raise ValueError("max_beta_degree must be >= 1")
-    if prof is None:
-        prof = profile(germ)
     if germ.trunc < work_degree + 1:
         raise TruncationError(
             f"map germ truncation {germ.trunc} too low for working degree "
@@ -240,26 +236,21 @@ def _delta_power(delta, exponent, upto=None):
     return out
 
 
-def _operator_sum(table, f, beta):
-    """Σ_alpha T[beta, alpha] · D^alpha f for one beta in the table range."""
+def verify_defining_identity(table, g, beta):
+    """Residual of the defining identity for one concrete g and beta in the
+    table range; it is identically zero within truncation exactly when the
+    table is right."""
+    beta = tuple(beta)
     m = sum(beta)
     if not 1 <= m <= table.max_beta_degree:
         raise ValueError(
             f"beta degree {m} outside the table range 1..{table.max_beta_degree}")
-    acc = None
-    for alpha in enumerate_upto(table.germ.n, m):
-        term = table.entries[(beta, alpha)].mul(f.derive(alpha))
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def verify_defining_identity(table, g, beta):
-    """Residual of the defining identity for one concrete g and beta; it is
-    identically zero within truncation exactly when the table is right."""
-    beta = tuple(beta)
     germ = table.germ
-    rhs = _operator_sum(table, compose(g, germ), beta)
-    lhs = _delta_power(table.profile.delta, 2 * sum(beta) - 1).mul(
+    f = compose(g, germ)
+    rhs = _sum_of_products(
+        (table.entries[(beta, alpha)], f.derive(alpha))
+        for alpha in enumerate_upto(germ.n, m))
+    lhs = _delta_power(table.profile.delta, 2 * m - 1).mul(
         compose(g.derive(beta), germ))
     return lhs - rhs
 
@@ -275,11 +266,8 @@ def verify_cramer_base(germ, g, prof=None):
     residuals = []
     for j in range(n):
         lhs = prof.delta.mul(compose(g.derive(unit(n, j)), germ))
-        acc = None
-        for i in range(n):
-            term = f_grad[i].mul(prof.adjugate.entry(i, j))
-            acc = term if acc is None else acc + term
-        residuals.append(lhs - acc)
+        residuals.append(lhs - _sum_of_products(
+            (f_grad[i], prof.adjugate.entry(i, j)) for i in range(n)))
     return residuals
 
 
@@ -330,12 +318,9 @@ def verify_identity_on_monomials(table, g_degree):
                         for k in range(ke - be + 1, ke + 1):
                             fall *= k
                     lhs = scaled * fall
-                rhs = None
-                for alpha in alphas:
-                    entry = table.entries[(beta, alpha)]
-                    term = entry.mul(d_power(kappa, alpha), upto=cap)
-                    rhs = term if rhs is None else rhs + term
-                residual = lhs - rhs
+                residual = lhs - _sum_of_products(
+                    ((table.entries[(beta, alpha)], d_power(kappa, alpha))
+                     for alpha in alphas), cap)
                 records.append((beta, kappa, residual.is_zero, residual.trunc))
     return records
 

@@ -33,11 +33,6 @@ class SingularJacobianError(GermRadiusError):
     """The Jacobian determinant vanishes identically to the working degree."""
 
 
-class NotPolynomialError(GermRadiusError):
-    """An operation that needs exact polynomial input saw nonzero
-    coefficients at the truncation boundary."""
-
-
 class InsufficientShellsError(GermRadiusError):
     """Too few nonzero coefficient shells for a root-test estimate."""
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from .errors import (
     CenterMismatch,
     DimensionMismatch,
-    NotPolynomialError,
     SingularJacobianError,
     TruncationError,
 )
 from .mindex import grlex_key, mi_factorial, unit
-from .pseries import TruncatedSeries, as_exact, rational_str
+from .pseries import TruncatedSeries, _sum_of_products, as_exact, rational_str
 
 
 class SeriesMatrix:
@@ -91,17 +90,9 @@ def matmul(a, b):
     if a.size != b.size:
         raise DimensionMismatch("matrix sizes differ")
     k = a.size
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = None
-            for r in range(k):
-                term = a.entry(i, r).mul(b.entry(r, j))
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    return SeriesMatrix(rows)
+    return SeriesMatrix(
+        [[_sum_of_products((a.entry(i, r), b.entry(r, j)) for r in range(k))
+          for j in range(k)] for i in range(k)])
 
 
 def identity_matrix(n_vars, center, trunc, size):
@@ -115,14 +106,10 @@ def _det(rows):
     k = len(rows)
     if k == 1:
         return rows[0][0]
-    total = None
-    for j in range(k):
-        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-        term = rows[0][j].mul(_det(minor))
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return _sum_of_products(
+        (-rows[0][j] if j % 2 else rows[0][j],
+         _det([[row[c] for c in range(k) if c != j] for row in rows[1:]]))
+        for j in range(k))
 
 
 def determinant(m):
@@ -213,38 +200,3 @@ def profile_to_dict(p):
         "computed_at_degree": p.computed_at_degree,
     }
 
-
-def _boundary_nonzero(series):
-    return any(sum(g) == series.trunc for g in series.coeffs)
-
-
-def coefficient_bound_constants(germ):
-    """Smallest (c1, c2), both >= 1, bounding every coefficient magnitude of
-    the determinant and adjugate entries at index gamma by c1 * c2**|gamma|.
-
-    For a polynomial germ the data is finite, so c2 = 1 is always feasible
-    and minimizing c2 first pins c2 = 1; c1 is then the largest magnitude,
-    floored at 1.  Nonzero coefficients at the truncation boundary mean the
-    input cannot be certified polynomial and are rejected.
-    """
-    for comp in germ.components:
-        if _boundary_nonzero(comp):
-            raise NotPolynomialError(
-                "map component has nonzero coefficients at the truncation "
-                "boundary; raise the truncation degree of a polynomial input")
-    jac = jacobian_matrix(germ)
-    delta = determinant(jac)
-    adj = adjugate(jac)
-    series_list = [delta] + [e for row in adj.rows for e in row]
-    for s in series_list:
-        if _boundary_nonzero(s):
-            raise NotPolynomialError(
-                "cofactor data reaches the truncation boundary; raise the "
-                "truncation degree of a polynomial input")
-    biggest = 1
-    for s in series_list:
-        for c in s.coeffs.values():
-            m = abs(c)
-            if m > biggest:
-                biggest = m
-    return as_exact(biggest), 1

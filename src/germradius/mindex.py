@@ -11,7 +11,7 @@ sound.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 from .errors import DimensionMismatch
 
@@ -30,24 +30,6 @@ def validate(gamma, n=None):
 def grlex_key(gamma):
     """Sort key realizing the graded lexicographic order."""
     return (sum(gamma), gamma)
-
-
-def _same_dim(a, b):
-    if len(a) != len(b):
-        raise DimensionMismatch(
-            f"multi-index dimensions differ: {len(a)} vs {len(b)}")
-
-
-def compare(a, b):
-    """Graded-lex comparison returning -1, 0 or +1."""
-    _same_dim(a, b)
-    ka = (sum(a), tuple(a))
-    kb = (sum(b), tuple(b))
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def enumerate_degree(n, d):
@@ -72,11 +54,6 @@ def enumerate_upto(n, d):
     return out
 
 
-def count_upto(n, d):
-    """Number of multi-indices with degree <= d."""
-    return comb(n + d, n)
-
-
 def mi_factorial(beta):
     """Product of the componentwise factorials, exact."""
     out = 1
@@ -90,15 +67,11 @@ def scale(gamma, m):
     return tuple(e * m for e in gamma)
 
 
-def add(a, b):
-    """Componentwise sum."""
-    _same_dim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def sub(a, b):
     """Componentwise difference, or None if any entry would go negative."""
-    _same_dim(a, b)
+    if len(a) != len(b):
+        raise DimensionMismatch(
+            f"multi-index dimensions differ: {len(a)} vs {len(b)}")
     out = tuple(x - y for x, y in zip(a, b))
     for e in out:
         if e < 0:

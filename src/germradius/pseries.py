@@ -440,6 +440,16 @@ def compose(g, germ):
     return TruncatedSeries._raw(germ.n, germ.center, t, acc)
 
 
+def _sum_of_products(pairs, upto=None):
+    """Σ a·b over the (a, b) pairs, each product capped at ``upto``, summed
+    with ``+`` in the order given."""
+    acc = None
+    for a, b in pairs:
+        term = a.mul(b, upto=upto)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def product_coefficient(a, b, gamma):
     """Coefficient of a*b at ``gamma`` without forming the whole product."""
     a._require_same_frame(b)
@@ -475,11 +485,8 @@ def chain_rule_residuals(g, germ):
     residuals = []
     for i in range(n):
         e_i = unit(n, i)
-        acc = None
-        for j in range(n):
-            term = outer[j].mul(germ.components[j].derive(e_i))
-            acc = term if acc is None else acc + term
-        residuals.append(f.derive(e_i) - acc)
+        residuals.append(f.derive(e_i) - _sum_of_products(
+            (outer[j], germ.components[j].derive(e_i)) for j in range(n)))
     return residuals
 
 

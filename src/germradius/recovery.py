@@ -21,7 +21,8 @@ level consumes one derivative.
 No operator table is built: ``cramerops.iter_h_levels`` recurs on the sums
 H themselves, one series per beta, and each sum equals the table's
 Σ_alpha T[beta, alpha] · D^alpha F, so the recovered values are the same
-rationals a table-backed extraction gives (``assemble_H`` is that reference).
+rationals a table-backed extraction gives (the test suite's
+``tests/helpers.assemble_H`` forms that table sum as the reference).
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
-from .cramerops import (
-    _delta_power,
-    _operator_sum,
-    iter_h_levels,
-    working_degree,
-)
+from .cramerops import _delta_power, iter_h_levels, working_degree
 from .jacobian import SeriesMatrix, profile
 from .mindex import grlex_key, mi_factorial, scale
 from .pseries import (
@@ -71,23 +67,6 @@ class RecoveryReport:
 def max_recoverable_degree(mu, available_degree):
     """Largest target degree whose working rule fits in ``available_degree``."""
     return (available_degree + mu) // (2 * mu + 1)
-
-
-def assemble_H(table, f_series, beta):
-    """Full operator sum Σ_alpha T[beta, alpha] · D^alpha F as a series."""
-    germ = table.germ
-    if f_series.n != germ.n:
-        raise DimensionMismatch("series and map disagree on dimension")
-    if f_series.center != germ.center:
-        raise CenterMismatch("series and map disagree on the centre")
-    beta = tuple(beta)
-    acc = _operator_sum(table, f_series, beta)
-    needed = (2 * sum(beta) - 1) * table.profile.mu
-    if acc.trunc < needed:
-        raise TruncationError(
-            f"operator sum valid to degree {acc.trunc}, extraction needs "
-            f"{needed}", needed_degree=needed)
-    return acc
 
 
 def _integer_copies(prof):

@@ -1,5 +1,6 @@
-"""Shared fixture builders (parsed germs, seeded random series and maps)
-and the reference product that tests check ``TruncatedSeries.mul`` against."""
+"""Shared fixture builders (parsed germs, seeded random series and maps),
+the reference product that tests check ``TruncatedSeries.mul`` against, and
+the table-based operator sum that tests check the H recurrence against."""
 
 from fractions import Fraction
 
@@ -60,6 +61,16 @@ def reference_mul(a, b, upto=None):
             elif key in out:
                 del out[key]
     return TruncatedSeries(a.n, a.center, t, out)
+
+
+def assemble_H(table, f, beta):
+    """Operator sum Σ_alpha T[beta, alpha] · D^alpha f, read off the table
+    entry by entry: the reference for ``cramerops.iter_h_levels``."""
+    beta = tuple(beta)
+    total = TruncatedSeries.zero(f.n, f.center, f.trunc)
+    for alpha in enumerate_upto(f.n, sum(beta)):
+        total = total + table.entry(beta, alpha).mul(f.derive(alpha))
+    return total
 
 
 def random_series(rng, n, degree, center=None, span=4, density=0.7,

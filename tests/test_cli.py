@@ -117,7 +117,7 @@ def test_load_job_roundtrip(tmp_path):
 @pytest.mark.parametrize("patch", [
     {"n": 0}, {"variables": ["x", "x"]}, {"variables": "x"},
     {"map": ["x", "y"]}, {"center": ["0", "0"]}, {"degree": 0},
-    {"command": "bogus"},
+    {"command": "bogus"}, {"n": True}, {"degree": True},
 ])
 def test_load_job_rejects_bad_fields(tmp_path, patch):
     fields = dict(BASE)
@@ -325,6 +325,50 @@ def test_exit_code_2_on_bad_job(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
     assert main(["profile", "--job", str(path), "--out", str(tmp_path)]) == 2
+
+
+_ONE_D = dict(n=1, variables=["x"], map=["x^2"], center=["0"])
+_NUMBER_JOBS = {
+    "profile": dict(_ONE_D, degree=8),
+    "recover": dict(_ONE_D, degree=8, f_expr="x^2"),
+    "stratify": dict(_ONE_D, degree=4, grid=[["0"], ["1"]]),
+    "radius": dict(_ONE_D, degree=8, series={
+        "n": 1, "center": ["0"], "degree": 12,
+        "terms": [{"index": [k], "coeff": "1"} for k in range(13)]}),
+    "verify": dict(_ONE_D, degree=8, max_beta=1, monomial_degree=1,
+                   extraction_max=1, roundtrip_degree=1),
+}
+
+
+@pytest.mark.parametrize("command,patch,flags,field", [
+    pytest.param("recover", {"target_degree": True}, [], "target_degree",
+                 id="target_degree-bool"),
+    pytest.param("profile", {"trace": "no"}, [], "trace", id="trace-string"),
+    pytest.param("radius", {"window": "abc"}, [], "window", id="window-string"),
+    pytest.param("radius", {"window": 0}, [], "window", id="window-zero"),
+    pytest.param("radius", {"window": True}, [], "window", id="window-bool"),
+    pytest.param("radius", {}, ["--window", "0"], "--window",
+                 id="window-flag-zero"),
+    pytest.param("profile", {}, ["--degree", "0"], "--degree",
+                 id="degree-flag-zero"),
+    pytest.param("stratify", {"profile_degree": "x"}, [], "profile_degree",
+                 id="profile_degree-string"),
+    pytest.param("stratify", {"profile_degree": -1}, [], "profile_degree",
+                 id="profile_degree-negative"),
+    pytest.param("verify", {"max_beta": True}, [], "max_beta",
+                 id="max_beta-bool"),
+    pytest.param("verify", {"roundtrip_degree": 0}, [], "roundtrip_degree",
+                 id="roundtrip_degree-zero"),
+    pytest.param("verify", {"seed": "0"}, [], "seed", id="seed-string"),
+])
+def test_exit_code_2_on_bad_job_number(tmp_path, capsys, command, patch,
+                                       flags, field):
+    path = write_job(tmp_path, command=command,
+                     **dict(_NUMBER_JOBS[command], **patch))
+    out = tmp_path / "out"
+    assert main([command, "--job", str(path), "--out", str(out)] + flags) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_exit_code_1_on_domain_error(tmp_path):

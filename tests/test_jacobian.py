@@ -1,4 +1,4 @@
-"""Jacobian matrix, determinant/adjugate, vanishing profiles, bound constants."""
+"""Jacobian matrix, determinant/adjugate, vanishing profiles."""
 
 import itertools
 import random
@@ -6,13 +6,11 @@ import random
 import pytest
 
 from germradius import (
-    NotPolynomialError,
     SeriesMatrix,
     SingularJacobianError,
     TruncatedSeries,
     TruncationError,
     adjugate,
-    coefficient_bound_constants,
     determinant,
     identity_matrix,
     jacobian_matrix,
@@ -166,32 +164,6 @@ def test_profile_rejects_identically_singular():
     germ = germ_of(["x*y", "x*y"], ["x", "y"], degree=5)
     with pytest.raises(SingularJacobianError):
         profile(germ)
-
-
-def test_bound_constants_examples():
-    assert coefficient_bound_constants(square_germ(degree=8)) == (2, 1)
-    assert coefficient_bound_constants(identity_germ(2, degree=8)) == (1, 1)
-    assert coefficient_bound_constants(blowup_germ(degree=8)) == (1, 1)
-
-
-def test_bound_constants_bound_holds():
-    rng = random.Random(77)
-    germ = random_map(rng, 2, trunc=8)
-    c1, c2 = coefficient_bound_constants(germ)
-    jac = jacobian_matrix(germ)
-    series_list = [determinant(jac)]
-    adj = adjugate(jac)
-    series_list += [adj.entry(i, j) for i in range(2) for j in range(2)]
-    for s in series_list:
-        for gamma, c in s.coeffs.items():
-            assert abs(c) <= c1 * c2 ** sum(gamma)
-
-
-def test_bound_constants_reject_boundary():
-    # truncation equal to the polynomial degree: cannot certify polynomiality
-    tight = germ_of(["x^2"], ["x"], degree=2)
-    with pytest.raises(NotPolynomialError):
-        coefficient_bound_constants(tight)
 
 
 def test_series_matrix_validation():

@@ -10,7 +10,6 @@ import pytest
 from germradius import (
     TruncatedSeries,
     TruncationError,
-    assemble_H,
     build_t_operators,
     compose,
     enumerate_upto,
@@ -23,6 +22,7 @@ from germradius import (
 )
 from germradius.cramerops import iter_h_levels
 from helpers import (
+    assemble_H,
     blowup_germ,
     cube_germ,
     germ_of,
@@ -281,11 +281,3 @@ def test_recover_rejects_center_mismatch():
     with pytest.raises(CenterMismatch):
         recover(germ, f, 1)
 
-
-def test_assemble_H_reports_needed_degree():
-    germ = cube_germ(degree=8)  # mu = 2; operator sum valid to degree 5
-    table = build_t_operators(germ, 3, work_degree=7)
-    f = series_of("x^3", ["x"], degree=7)
-    with pytest.raises(TruncationError) as err:
-        assemble_H(table, f, (3,))
-    assert err.value.needed_degree == 10
