@@ -1,9 +1,10 @@
 """Command line: job files in, deterministic JSON/CSV reports out.
 
-Grammar for polynomial expressions: rational literals ('3', '3/2'),
-declared variable names, '+', '-', '*', '^' with nonnegative integer
-exponents, and parentheses.  No implicit multiplication, no division
-operator ('/' only inside a numeric literal).
+Grammar for polynomial expressions: nonnegative integer literals, declared
+variable names, '+', '-', '*', '/', '^' with nonnegative integer exponents,
+and parentheses.  '/' divides by a nonzero constant ('3/2*x', 'x^2/3');
+'^' binds tighter than '*' and '/', so '3/2^2' is 3/4.  No implicit
+multiplication.
 
 Exit codes: 0 success, 1 domain error (singular Jacobian, insufficient
 truncation, failed verify), 2 input error (bad expression, bad job file).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +38,7 @@ from .mindex import enumerate_upto
 from .polymap import Polynomial, PolynomialMap
 from .pseries import (
     TruncatedSeries,
-    as_exact,
+    _json_rational,
     chain_rule_residuals,
     compose,
     series_from_dict,
@@ -62,46 +64,21 @@ COMMANDS = ("compose", "recover", "profile", "stratify", "radius", "verify")
 # -- expression parsing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# one alternative per token kind; whitespace matches none and is skipped
+_TOKEN = re.compile(
+    r"(?P<number>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(text):
+    """(kind, text, pos) triples ending in an 'end' token; an operator's
+    kind is the operator itself."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            out.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()":
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        out.append((tok if kind == "op" else kind, tok, pos))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -113,32 +90,32 @@ class _ExprParser:
         self.n = len(variables)
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][0]
 
     def take(self, kind=None):
         tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
+        if kind is not None and tok[0] != kind:
             raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.pos)
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                tok[2])
         self.pos += 1
         return tok
 
     def parse(self):
         poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self.take()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return poly
 
     def expr(self):
         node = self.term()
         while True:
-            tok = self.peek()
-            if tok.kind == "+":
+            kind = self.peek()
+            if kind == "+":
                 self.take()
                 node = node + self.term()
-            elif tok.kind == "-":
+            elif kind == "-":
                 self.take()
                 node = node - self.term()
             else:
@@ -146,46 +123,51 @@ class _ExprParser:
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = node * self.factor()
+        while self.peek() in ("*", "/"):
+            op, _, pos = self.take()
+            rhs = self.factor()
+            if op == "*":
+                node = node * rhs
+                continue
+            divisor = rhs.coeffs.get((0,) * self.n)
+            if divisor is None or len(rhs.coeffs) != 1:
+                raise ParseError("divisor must be a nonzero constant", pos)
+            # through the constructor, so a whole quotient is stored as an int
+            node = Polynomial(self.n, {g: Fraction(c) / divisor
+                                       for g, c in node.coeffs.items()})
         return node
 
     def factor(self):
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.take()
             return -self.factor()
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
-            tok = self.peek()
-            if tok.kind != "number" or "/" in tok.text:
-                raise ParseError("exponent must be a nonnegative integer", tok.pos)
-            self.take()
-            return base ** int(tok.text)
+            kind, text, pos = self.take()
+            if kind != "number":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            return base ** int(text)
         return base
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            return Polynomial.constant(self.n, as_exact(Fraction(tok.text)))
-        if tok.kind == "name":
-            if tok.text not in self.variables:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            self.take()
-            return Polynomial.variable(self.n, self.variables[tok.text])
-        if tok.kind == "(":
-            self.take()
+        kind, text, pos = self.take()
+        if kind == "number":
+            return Polynomial.constant(self.n, int(text))
+        if kind == "name":
+            if text not in self.variables:
+                raise ParseError(f"unknown variable {text!r}", pos)
+            return Polynomial.variable(self.n, self.variables[text])
+        if kind == "(":
             node = self.expr()
             self.take(")")
             return node
         raise ParseError(
             f"expected a number, variable or '(', found "
-            f"{tok.text or 'end of input'!r}", tok.pos)
+            f"{text or 'end of input'!r}", pos)
 
 
 def parse_expression(text, variables):
@@ -247,8 +229,8 @@ def _series_literal(literal, context):
 
 def _exact_from_json(value, context):
     try:
-        return as_exact(value if isinstance(value, int) else str(value))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return _json_rational(value)
+    except ValueError as exc:
         raise JobError(f"bad rational in {context}: {value!r}") from exc
 
 
@@ -338,7 +320,7 @@ class _JobContext:
             return _series_literal(literal, repr(literal_key))
         if expr is None:
             raise JobError(f"missing {literal_key!r} (or {expr_key!r}) payload")
-        return parse_expression(expr, variables).to_series(center, degree)
+        return parse_polynomial(expr, variables, center, degree)
 
 
 def _cmd_compose(ctx):
@@ -493,10 +475,10 @@ def _cmd_radius(ctx):
             {"shells.csv": "\n".join(csv_parts) + "\n"})
 
 
-def _random_series(rng, n, center, degree, span=3, trunc=None):
+def _random_series(rng, n, center, degree, trunc=None):
     coeffs = {}
     for gamma in enumerate_upto(n, degree):
-        c = rng.randint(-span, span)
+        c = rng.randint(-3, 3)
         if c:
             coeffs[gamma] = c
     coeffs[(0,) * n] = coeffs.get((0,) * n, 0) or 1

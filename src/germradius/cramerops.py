@@ -255,11 +255,10 @@ def verify_defining_identity(table, g, beta):
     return lhs - rhs
 
 
-def verify_cramer_base(germ, g, prof=None):
+def verify_cramer_base(germ, g, prof):
     """Residuals of the level-one contraction for each image coordinate j:
-    delta · ((dg/dy_j) ∘ germ) - Σ_i (df/dx_i) · adj[i][j]."""
-    if prof is None:
-        prof = profile(germ)
+    delta · ((dg/dy_j) ∘ germ) - Σ_i (df/dx_i) · adj[i][j], from the germ's
+    profile ``prof``."""
     n = germ.n
     f = compose(g, germ)
     f_grad = [f.derive(unit(n, i)) for i in range(n)]

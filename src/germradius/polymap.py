@@ -30,7 +30,7 @@ class Polynomial:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs=None):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DimensionMismatch(f"dimension must be a positive int, got {n}")
         self.n = n
         self.coeffs = _clean_coeffs(coeffs, n)

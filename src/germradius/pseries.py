@@ -128,13 +128,13 @@ class TruncatedSeries:
     __slots__ = ("n", "center", "trunc", "coeffs")
 
     def __init__(self, n, center, trunc, coeffs=None):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DimensionMismatch(f"dimension must be a positive int, got {n}")
         center = tuple(as_exact(c) for c in center)
         if len(center) != n:
             raise DimensionMismatch(
                 f"centre has {len(center)} coordinates for dimension {n}")
-        if not isinstance(trunc, int) or trunc < 0:
+        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
             raise TruncationError(f"truncation degree must be >= 0, got {trunc}")
         self.n = n
         self.center = center
@@ -506,19 +506,26 @@ def series_to_dict(series):
     }
 
 
+def _json_rational(value):
+    """An exact rational from a JSON int or text such as '-3/2'; a bool, a
+    zero denominator or unreadable text is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r}")
+    try:
+        return as_exact(value if isinstance(value, int) else str(value))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {value!r}") from exc
+
+
 def series_from_dict(data):
     """Inverse of :func:`series_to_dict`; round trips are bit-exact."""
     try:
         n = data["n"]
-        center = [as_exact(c if isinstance(c, int) else str(c))
-                  for c in data["center"]]
+        center = [_json_rational(c) for c in data["center"]]
         trunc = data["degree"]
         coeffs = {}
         for term in data.get("terms", ()):
-            idx = tuple(term["index"])
-            coeffs[idx] = as_exact(
-                term["coeff"] if isinstance(term["coeff"], int)
-                else str(term["coeff"]))
+            coeffs[tuple(term["index"])] = _json_rational(term["coeff"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed series literal: {exc}") from exc
     return TruncatedSeries(n, center, trunc, coeffs)

@@ -1,6 +1,7 @@
 """Expression grammar, job files, command runs, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,8 +70,8 @@ def test_parse_errors_carry_position():
     assert "nonnegative integer" in str(err.value)
     with pytest.raises(ParseError):
         parse_expression("x^(1/2)", ["x"])
-    with pytest.raises(ParseError):
-        parse_expression("x^1/2", ["x"])
+    assert parse_expression("x^1/2", ["x"]) == Polynomial(
+        1, {(1,): Fraction(1, 2)})
     with pytest.raises(ParseError) as err:
         parse_expression("x + * y", ["x", "y"])
     assert err.value.position == 4
@@ -94,6 +95,98 @@ def test_parse_serialize_parse_identity():
     s = parse_polynomial("(x - 2*y)^3 + 1/3", ["x", "y"], degree=5)
     d = series_to_dict(s)
     assert series_from_dict(json.loads(json.dumps(d))) == s
+
+
+@pytest.mark.parametrize("text,want", [
+    ("x^2/3", {(2,): Fraction(1, 3)}),
+    ("(x^2)/3", {(2,): Fraction(1, 3)}),
+    ("x/2", {(1,): Fraction(1, 2)}),
+    ("2/3*x", {(1,): Fraction(2, 3)}),
+    ("3/2^2", {(0,): Fraction(3, 4)}),  # '^' binds tighter than '/'
+    ("x/(1 + 1)/-3", {(1,): Fraction(-1, 6)}),
+])
+def test_parse_division_by_a_constant(text, want):
+    assert parse_expression(text, ["x"]) == Polynomial(1, want)
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("x/y", 1), ("1/0", 1), ("x + 2/(1 - 1)", 5), ("x/(y + 1)", 1),
+])
+def test_parse_rejects_a_divisor_that_is_not_a_nonzero_constant(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, ["x", "y"])
+    assert err.value.position == pos
+    assert "nonzero constant" in str(err.value)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return ("int", rng.randint(0, 9))
+        return ("var", rng.randrange(2))
+    op = rng.choice(["add", "sub", "neg", "mul", "div", "pow"])
+    a = _random_tree(rng, depth - 1)
+    if op == "neg":
+        return (op, a)
+    if op == "div":
+        k = ("int", rng.randint(1, 5))
+        return (op, a, k if rng.random() < 0.5 else ("pow", k, rng.randint(0, 2)))
+    if op == "pow":
+        return (op, a, rng.randint(0, 3))
+    return (op, a, _random_tree(rng, depth - 1))
+
+
+def _render(node):
+    """(text, precedence) with only the parentheses the grammar needs.
+
+    Precedence as the grammar reads it: sums 1, products and quotients 2,
+    unary minus 3, powers 4, literals and names 5.  A left operand may share
+    its parent's precedence, a right one must bind tighter.
+    """
+    def wrap(child, least):
+        text, prec = _render(child)
+        return text if prec >= least else f"({text})"
+
+    kind = node[0]
+    if kind == "int":
+        return str(node[1]), 5
+    if kind == "var":
+        return "xy"[node[1]], 5
+    if kind == "pow":
+        return f"{wrap(node[1], 5)}^{node[2]}", 4
+    if kind == "neg":
+        return f"-{wrap(node[1], 3)}", 3
+    sym, prec = {"add": ("+", 1), "sub": ("-", 1),
+                 "mul": ("*", 2), "div": ("/", 2)}[kind]
+    return f"{wrap(node[1], prec)}{sym}{wrap(node[2], prec + 1)}", prec
+
+
+def _evaluate(node):
+    kind = node[0]
+    if kind == "int":
+        return Polynomial.constant(2, node[1])
+    if kind == "var":
+        return Polynomial.variable(2, node[1])
+    if kind == "neg":
+        return -_evaluate(node[1])
+    if kind == "pow":
+        return _evaluate(node[1]) ** node[2]
+    a, b = _evaluate(node[1]), _evaluate(node[2])
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    if kind == "mul":
+        return a * b
+    return a * Fraction(1, b.coeffs[(0, 0)])
+
+
+def test_parse_matches_direct_arithmetic_on_random_trees():
+    rng = random.Random(8)
+    for _ in range(400):
+        tree = _random_tree(rng, 4)
+        text, _ = _render(tree)
+        assert parse_expression(text, ["x", "y"]) == _evaluate(tree), text
 
 
 # -- job loading --------------------------------------------------------------
@@ -368,6 +461,27 @@ def test_exit_code_2_on_bad_job_number(tmp_path, capsys, command, patch,
     out = tmp_path / "out"
     assert main([command, "--job", str(path), "--out", str(out)] + flags) == 2
     assert f"{field} must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+_LITERAL = {"n": 1, "center": ["0"], "degree": 2,
+            "terms": [{"index": [1], "coeff": "2"}]}
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param({"series": dict(_LITERAL, n=True)}, id="literal-n-bool"),
+    pytest.param({"series": dict(_LITERAL, degree=True)},
+                 id="literal-degree-bool"),
+    pytest.param({"series": dict(_LITERAL, terms=[
+        {"index": [1], "coeff": "1/0"}])}, id="literal-coeff-zero-denominator"),
+    pytest.param({"map": ["x^2 + 1/0*x"]}, id="map-division-by-zero"),
+])
+def test_exit_code_2_on_bad_number_in_literal_or_map(tmp_path, capsys, patch):
+    path = write_job(tmp_path, command="radius",
+                     **dict(_NUMBER_JOBS["radius"], **patch))
+    out = tmp_path / "out"
+    assert main(["radius", "--job", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error")
     assert not (out / "report.json").exists()
 
 

@@ -116,7 +116,7 @@ def test_cramer_base_random_maps():
     for n in (1, 2, 3):
         germ = random_map(rng, n, trunc=6)
         g = random_series(rng, n, 3, center=germ.image_point, trunc=6)
-        for residual in verify_cramer_base(germ, g):
+        for residual in verify_cramer_base(germ, g, profile(germ)):
             assert residual.is_zero
 
 

@@ -1,14 +1,20 @@
 """Golden sha256 digests of every file each demo job writes, with and without
---trace: any change to the bytes of a report or CSV fails here."""
+--trace, and of each demo script's stdout: any change to the bytes of a
+report, a CSV or a demo's printout fails here."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from germradius.cli import load_job, run_job
 
-JOBS = Path(__file__).resolve().parent.parent / "demos" / "jobs"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+JOBS = DEMOS / "jobs"
 
 PLAIN = {
     "profile_square": {
@@ -71,3 +77,28 @@ def test_demo_job_output_bytes(tmp_path, job, trace):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == (TRACED if trace else PLAIN)[job]
+
+
+DEMO_STDOUT = {
+    "01_recover_composite":
+        "751907ddec638585d0fffa0598747f9b1227c879cca7419848d89f8990777d62",
+    "02_sqrt_off_center":
+        "dda787f3ec78f5a52767538be37a08e70c0160d1c9abad70be51796d164d970b",
+    "03_blowup_strata":
+        "4dc4468c221eabaea5c92e7a853b706b2285fa3740b5e3968af7dd1f0c0b94b0",
+    "04_radius_scaling":
+        "d604630e8e4070a9124e6edf8a6a2f4cab74fc6dfd641156b84a3bc5e594b3ec",
+}
+
+
+def test_every_demo_script_is_pinned():
+    assert sorted(path.stem for path in DEMOS.glob("*.py")) == sorted(DEMO_STDOUT)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
+def test_demo_script_stdout(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")],
+                          capture_output=True, env=env, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo]
