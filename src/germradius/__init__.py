@@ -43,7 +43,6 @@ from .jacobian import (
     SeriesMatrix,
     adjugate,
     determinant,
-    identity_matrix,
     jacobian_matrix,
     matmul,
     profile,

@@ -33,7 +33,7 @@ from .cramerops import (
     working_degree,
 )
 from .errors import GermRadiusError, JobError, ParseError
-from .jacobian import identity_matrix, jacobian_matrix, matmul, profile, profile_to_dict
+from .jacobian import jacobian_matrix, matmul, profile, profile_to_dict
 from .mindex import enumerate_upto
 from .polymap import Polynomial, PolynomialMap
 from .pseries import (
@@ -189,7 +189,7 @@ def parse_polynomial(text, variables, center=None, degree=None):
     if center is None:
         center = (0,) * n
     if degree is None:
-        degree = max(poly.degree(), 0)
+        degree = poly.degree()
     return poly.to_series(center, degree)
 
 
@@ -370,8 +370,9 @@ def _grid_points(job):
         return points
     if "grid_axes" in payload:
         axes = payload["grid_axes"]
-        if not isinstance(axes, list) or len(axes) != job.n:
-            raise JobError(f"grid_axes must list {job.n} axes")
+        if (not isinstance(axes, list) or len(axes) != job.n
+                or any(not isinstance(a, list) or not a for a in axes)):
+            raise JobError(f"grid_axes must list {job.n} nonempty axes")
         exact_axes = [[_exact_from_json(c, "grid_axes") for c in axis]
                       for axis in axes]
         points = [()]
@@ -466,7 +467,7 @@ def _cmd_radius(ctx):
         fits["log_rg_vs_log_rf"] = _fit_entry(
             [(0, rf, rg) for _, rf, rg in fit_rows], "r_f", "r_g")
     if all(t is not None for t, _, _ in fit_rows):
-        by_t = [(abs(Fraction(t)), rf or 1, rg or 1) for t, rf, rg in fit_rows]
+        by_t = [(abs(Fraction(t)), rf, rg) for t, rf, rg in fit_rows]
         for key, pos in (("r_f", 1), ("r_g", 2)):
             if all(row[pos] is not None for row in fit_rows):
                 fits[f"log_{key}_vs_log_t"] = _fit_entry(by_t, "t", key)
@@ -524,13 +525,13 @@ def _cmd_verify(ctx):
            f"{min(r.trunc for r in residuals)}")
     jac = jacobian_matrix(germ)
     adj = prof.adjugate
-    delta_id = identity_matrix(job.n, germ.center, prof.delta.trunc, job.n)
     lhs = matmul(jac, adj)
     rhs = matmul(adj, jac)
+    off_diagonal = prof.delta * 0
     ok = True
     for i in range(job.n):
         for j in range(job.n):
-            want = delta_id.entry(i, j).mul(prof.delta)
+            want = prof.delta if i == j else off_diagonal
             ok = ok and lhs.entry(i, j) == want and rhs.entry(i, j) == want
     record("adjugate_identity", ok, "J·adj and adj·J against det·I")
     results = verify_identity_on_monomials(table, monomial_degree)

@@ -42,6 +42,7 @@ from .mindex import (
     enumerate_degree,
     enumerate_upto,
     grlex_key,
+    mi_factorial,
     sub as mi_sub,
     unit,
 )
@@ -166,22 +167,29 @@ class _LevelBuilder:
                 for beta_new, j, beta in self._parents(m)}
 
 
+def _iter_levels(max_beta_degree, level_one, next_level):
+    """Yield (m, level) for m = 1..max_beta_degree: ``level_one()`` builds
+    level one and ``next_level(level, m)`` level m + 1 from level m."""
+    if max_beta_degree < 1:
+        raise ValueError("max_beta_degree must be >= 1")
+    level = level_one()
+    yield 1, level
+    for m in range(1, max_beta_degree):
+        level = next_level(level, m)
+        yield m + 1, level
+
+
 def iter_t_levels(germ, max_beta_degree, work_degree, prof):
     """Yield (m, level entries) for m = 1..max_beta_degree, one level at a
     time, from the germ's profile ``prof``."""
-    if max_beta_degree < 1:
-        raise ValueError("max_beta_degree must be >= 1")
     if germ.trunc < work_degree + 1:
         raise TruncationError(
             f"map germ truncation {germ.trunc} too low for working degree "
             f"{work_degree}", needed_degree=work_degree + 1)
     builder = _LevelBuilder(
         germ.n, germ.center, work_degree, prof.delta, prof.adjugate)
-    level = builder.base_level()
-    yield 1, level
-    for m in range(1, max_beta_degree):
-        level = builder.next_level(level, m)
-        yield m + 1, level
+    yield from _iter_levels(
+        max_beta_degree, builder.base_level, builder.next_level)
 
 
 def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
@@ -192,15 +200,11 @@ def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
     f_series and takes the table's step with the gradient of H_beta, which
     holds by linearity for every f_series, composite or not.
     """
-    if max_beta_degree < 1:
-        raise ValueError("max_beta_degree must be >= 1")
     builder = _LevelBuilder(
         f_series.n, f_series.center, work_degree, delta, adj)
-    level = builder.base_h_level(f_series)
-    yield 1, level
-    for m in range(1, max_beta_degree):
-        level = builder.next_h_level(level, m)
-        yield m + 1, level
+    yield from _iter_levels(
+        max_beta_degree, lambda: builder.base_h_level(f_series),
+        builder.next_h_level)
 
 
 def working_degree(mu, max_beta_degree):
@@ -274,10 +278,10 @@ def verify_identity_on_monomials(table, g_degree):
     """Run the defining identity over every centred monomial g of degree
     <= g_degree, for every beta in the table.
 
-    Returns records (beta, kappa, residual_is_zero, checked_degree).  Shares
-    the composed monomial powers and the delta powers across all checks; for
-    g = (y - b)^kappa the composed series is the deviation power product, and
-    D^beta g composes to a falling-factorial multiple of a smaller one.
+    Returns records (beta, kappa, residual_is_zero, checked_degree).  For
+    g = (y - b)^kappa, f is the deviation power P_kappa and D^beta g composes
+    to kappa!/(kappa - beta)! · P_{kappa - beta}; the powers, their
+    derivatives and the delta-power products are tabulated, not per record.
     """
     germ = table.germ
     n = germ.n
@@ -287,38 +291,24 @@ def verify_identity_on_monomials(table, g_degree):
     powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, germ.trunc)}
     for kappa in kappas:
         _monomial_power(kappa, powers, devs, germ.trunc)
-    deriv_cache = {}
-
-    def d_power(kappa, alpha):
-        got = deriv_cache.get((kappa, alpha))
-        if got is None:
-            got = powers[kappa].derive(alpha)
-            deriv_cache[(kappa, alpha)] = got
-        return got
-
+    all_alphas = enumerate_upto(n, table.max_beta_degree)
+    derivs = {(kappa, alpha): powers[kappa].derive(alpha)
+                for kappa in kappas for alpha in all_alphas}
     records = []
     for m in range(1, table.max_beta_degree + 1):
         cap = w - m + 1
         dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)
-        lhs_cache = {}
-        alphas = enumerate_upto(n, m)
+        scaled = {d: dpow.mul(powers[d], upto=cap)
+                  for d in kappas if sum(d) <= g_degree - m}
+        zero = TruncatedSeries.zero(n, germ.center, cap)
+        alphas = [alpha for alpha in all_alphas if sum(alpha) <= m]
         for beta in enumerate_degree(n, m):
             for kappa in kappas:
                 down = mi_sub(kappa, beta)
-                if down is None:
-                    lhs = TruncatedSeries.zero(n, germ.center, cap)
-                else:
-                    scaled = lhs_cache.get(down)
-                    if scaled is None:
-                        scaled = dpow.mul(powers[down], upto=cap)
-                        lhs_cache[down] = scaled
-                    fall = 1
-                    for ke, be in zip(kappa, beta):
-                        for k in range(ke - be + 1, ke + 1):
-                            fall *= k
-                    lhs = scaled * fall
+                lhs = zero if down is None else (
+                    scaled[down] * (mi_factorial(kappa) // mi_factorial(down)))
                 residual = lhs - _sum_of_products(
-                    ((table.entries[(beta, alpha)], d_power(kappa, alpha))
+                    ((table.entries[(beta, alpha)], derivs[(kappa, alpha)])
                      for alpha in alphas), cap)
                 records.append((beta, kappa, residual.is_zero, residual.trunc))
     return records

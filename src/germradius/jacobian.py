@@ -95,13 +95,6 @@ def matmul(a, b):
           for j in range(k)] for i in range(k)])
 
 
-def identity_matrix(n_vars, center, trunc, size):
-    one = TruncatedSeries.constant(1, n_vars, center, trunc)
-    zero = TruncatedSeries.zero(n_vars, center, trunc)
-    return SeriesMatrix(
-        [[one if i == j else zero for j in range(size)] for i in range(size)])
-
-
 def _det(rows):
     k = len(rows)
     if k == 1:

@@ -57,23 +57,14 @@ class Polynomial:
                 f"polynomial dimensions differ: {self.n} vs {other.n}")
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.n, other)
         self._check(other)
         return Polynomial._raw(self.n, _add_into(dict(self.coeffs), other.coeffs))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._raw(self.n, _scaled(self.coeffs, -1))
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.n, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -179,9 +170,6 @@ class PolynomialMap:
         self.n = n
         self.components = components
 
-    def degree(self):
-        return max(c.degree() for c in self.components)
-
     def jacobian_degree_bound(self):
         """Degree bound for the Jacobian determinant and its cofactors."""
         return sum(max(c.degree() - 1, 0) for c in self.components)
@@ -194,4 +182,4 @@ class PolynomialMap:
         return MapGerm([c.to_series(point, trunc) for c in self.components])
 
     def __repr__(self):
-        return f"PolynomialMap(n={self.n}, degree={self.degree()})"
+        return f"PolynomialMap(n={self.n})"

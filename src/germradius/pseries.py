@@ -236,9 +236,6 @@ class TruncatedSeries:
             return self + (-other)
         return self + (-as_exact(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.mul(other)

@@ -93,7 +93,6 @@ def bound_report(prof, r_f, r_g):
 class ScalingFit:
     slope: float
     intercept: float
-    residuals: list
     max_abs_residual: float
 
 
@@ -114,9 +113,8 @@ def scaling_fit(family, x="r_f", y="r_g"):
         raise DegenerateFamilyError("family parameter is constant")
     slope, intercept = linear_regression(lx, ly)
     residuals = [yv - (slope * xv + intercept) for xv, yv in zip(lx, ly)]
-    return ScalingFit(
-        slope=slope, intercept=intercept, residuals=residuals,
-        max_abs_residual=max(abs(r) for r in residuals))
+    return ScalingFit(slope=slope, intercept=intercept,
+                      max_abs_residual=max(abs(r) for r in residuals))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,17 @@
 """Shared fixture builders (parsed germs, seeded random series and maps),
-the reference product that tests check ``TruncatedSeries.mul`` against, and
-the table-based operator sum that tests check the H recurrence against."""
+the reference product that tests check ``TruncatedSeries.mul`` against,
+the table-based operator sum that tests check the H recurrence against, and
+the identity series matrix."""
 
 from fractions import Fraction
 
-from germradius import MapGerm, SingularJacobianError, TruncatedSeries, profile
+from germradius import (
+    MapGerm,
+    SeriesMatrix,
+    SingularJacobianError,
+    TruncatedSeries,
+    profile,
+)
 from germradius.cli import parse_expression, parse_polynomial
 from germradius.mindex import enumerate_upto
 from germradius.polymap import Polynomial, PolynomialMap
@@ -61,6 +68,13 @@ def reference_mul(a, b, upto=None):
             elif key in out:
                 del out[key]
     return TruncatedSeries(a.n, a.center, t, out)
+
+
+def identity_matrix(n_vars, center, trunc, size):
+    one = TruncatedSeries.constant(1, n_vars, center, trunc)
+    zero = TruncatedSeries.zero(n_vars, center, trunc)
+    return SeriesMatrix(
+        [[one if i == j else zero for j in range(size)] for i in range(size)])
 
 
 def assemble_H(table, f, beta):

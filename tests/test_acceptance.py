@@ -23,7 +23,6 @@ from germradius import (
     determinant,
     estimate_radius,
     extraction_witness,
-    identity_matrix,
     jacobian_matrix,
     matmul,
     profile,
@@ -40,6 +39,7 @@ from helpers import (
     cube_germ,
     germ_of,
     identity_germ,
+    identity_matrix,
     pmap_of,
     random_map,
     random_series,

@@ -1,10 +1,12 @@
 """Expression grammar, job files, command runs, exit codes, determinism."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -377,6 +379,30 @@ def test_radius_command_family(tmp_path):
     assert report["members"][0]["r_g"] == 0.25
 
 
+def test_radius_family_fit_on_an_underflowed_radius_is_an_error(tmp_path):
+    # |f_d| = 2^(1100 d) and 2^(1200 d) put each r_f below the smallest
+    # double: it reads 0.0, and every fit on r_f must say so, not use 1
+    def literal(log2_base):
+        return {"n": 1, "center": ["0"], "degree": 2,
+                "terms": [{"index": [d], "coeff": str(2 ** (log2_base * d))}
+                          for d in range(3)]}
+
+    family = [{"t": "1/2", "f": literal(1100), "g": literal(1)},
+              {"t": "1", "f": literal(1200), "g": literal(2)}]
+    path = write_job(tmp_path, command="radius", n=1, variables=["x"],
+                     map=["x^2"], center=["0"], degree=8, window=1,
+                     family=family)
+    out = tmp_path / "out"
+    assert main(["radius", "--job", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [m["r_f"] for m in report["members"]] == [0.0, 0.0]
+    fits = report["fits"]
+    positive = {"error": "log-log fit needs positive values"}
+    assert fits["log_r_f_vs_log_t"] == positive
+    assert fits["log_rg_vs_log_rf"] == positive
+    assert fits["log_r_g_vs_log_t"]["slope"] == pytest.approx(-1.0)
+
+
 def test_verify_command_passes(tmp_path):
     path = write_job(tmp_path, command="verify", n=1, variables=["x"],
                      map=["x^2"], center=["0"], degree=8, max_beta=2,
@@ -485,6 +511,68 @@ def test_exit_code_2_on_bad_number_in_literal_or_map(tmp_path, capsys, patch):
     assert not (out / "report.json").exists()
 
 
+_TWO_D = dict(n=2, variables=["x", "y"], map=["x", "x*y"],
+              center=["0", "0"], degree=4)
+
+
+@pytest.mark.parametrize("command,job,field", [
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr="u^3",
+                                 image_variables=["u", "v"]),
+                 "image_variables", id="image_variables-length"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr="y^3", g=_LITERAL),
+                 "'g_expr'", id="g-and-g_expr"),
+    pytest.param("recover", dict(_ONE_D, degree=8), "'f_expr'",
+                 id="no-f-or-f_expr"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=[["0"]],
+                                  grid_axes=[["0"]]),
+                 "'grid_axes'", id="grid-and-grid_axes"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=[]), "grid",
+                 id="grid-empty"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=[["0", "1"]]),
+                 "grid point", id="grid-point-length"),
+    pytest.param("stratify", dict(_TWO_D, grid_axes=[["0"]]), "grid_axes",
+                 id="grid_axes-count"),
+    pytest.param("stratify", dict(_TWO_D, grid_axes=["12", "34"]),
+                 "grid_axes", id="grid_axes-strings"),
+    pytest.param("stratify", dict(_TWO_D, grid_axes=[1, 2]), "grid_axes",
+                 id="grid_axes-numbers"),
+    pytest.param("stratify", dict(_TWO_D, grid_axes=[[], ["1"]]),
+                 "grid_axes", id="grid_axes-empty-axis"),
+    pytest.param("stratify", dict(_ONE_D, degree=4), "'grid_axes'",
+                 id="no-grid"),
+    pytest.param("radius", dict(_NUMBER_JOBS["radius"], family=[
+        {"f": _LITERAL}]), "'family'", id="series-and-family"),
+    pytest.param("radius", dict(_ONE_D, degree=8), "'family'",
+                 id="no-series-or-family"),
+    pytest.param("radius", dict(_ONE_D, degree=8, family=["x"]),
+                 "family[0]", id="family-member-not-object"),
+    pytest.param("profile", [dict(_ONE_D, degree=8)], "JSON object",
+                 id="job-is-a-list"),
+])
+def test_exit_code_2_on_bad_payload(tmp_path, capsys, command, job, field):
+    path = tmp_path / "job.json"
+    if isinstance(job, dict):
+        job = dict(job, command=command)
+    path.write_text(json.dumps(job))
+    out = tmp_path / "out"
+    assert main([command, "--job", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and field in err
+    assert not (out / "report.json").exists()
+
+
+def test_compose_names_the_image_variables(tmp_path):
+    reports = []
+    for name, extra in (("u", {"image_variables": ["u"]}), ("y", {})):
+        path = write_job(tmp_path, command="compose", g_expr=f"{name}^3",
+                         **dict(_ONE_D, degree=6, **extra))
+        out = tmp_path / f"out_{name}"
+        assert main(["compose", "--job", str(path), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["f"])
+    assert reports[0] == reports[1]
+    assert series_from_dict(reports[0]).coeffs == {(6,): 1}
+
+
 def test_exit_code_1_on_domain_error(tmp_path):
     # identically singular Jacobian
     path = write_job(tmp_path, command="profile", n=2, variables=["x", "y"],
@@ -505,9 +593,13 @@ def test_exit_code_1_on_insufficient_truncation(tmp_path):
 def test_module_entry_point(tmp_path):
     path = write_job(tmp_path, **BASE)
     out = tmp_path / "out"
+    # the child finds the checkout's package whether or not it is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "germradius", "profile", "--job", str(path),
-         "--out", str(out)], capture_output=True, text=True)
+         "--out", str(out)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (out / "report.json").exists()
 

@@ -12,7 +12,6 @@ from germradius import (
     TruncationError,
     adjugate,
     determinant,
-    identity_matrix,
     jacobian_matrix,
     matmul,
     profile,
@@ -22,6 +21,7 @@ from helpers import (
     cube_germ,
     germ_of,
     identity_germ,
+    identity_matrix,
     random_map,
     series_of,
     square_germ,
