@@ -42,7 +42,6 @@ from .jacobian import (
     JacobianProfile,
     SeriesMatrix,
     adjugate,
-    determinant,
     jacobian_matrix,
     matmul,
     profile,

@@ -219,6 +219,37 @@ def _job_int(value, name, minimum=None):
     return value
 
 
+def _job_opt_int(payload, name, default, minimum=None):
+    """An optional integer payload field: an absent key takes ``default``,
+    a present one (null included) must pass :func:`_job_int`."""
+    if name not in payload:
+        return default
+    return _job_int(payload[name], name, minimum)
+
+
+def _job_names(names, field, n):
+    """``n`` distinct nonempty variable names."""
+    if (not isinstance(names, list) or len(names) != n
+            or any(not isinstance(v, str) or not v for v in names)
+            or len(set(names)) != n):
+        raise JobError(f"{field} must be {n} distinct nonempty names")
+    return list(names)
+
+
+def _job_point(point, field, n):
+    """A point of ``n`` exact rationals, such as the centre or a grid point."""
+    if not isinstance(point, list) or len(point) != n:
+        raise JobError(f"{field} must list {n} rationals, got {point!r}")
+    return tuple(_exact_from_json(c, field) for c in point)
+
+
+def _one_of(payload, first, second):
+    """Which of two exclusive payload keys the job gives, or None."""
+    if first in payload and second in payload:
+        raise JobError(f"give {first!r} or {second!r}, not both")
+    return first if first in payload else second if second in payload else None
+
+
 def _series_literal(literal, context):
     """A series from its JSON literal; a malformed one is an input error."""
     try:
@@ -252,22 +283,15 @@ def load_job(path, command=None):
     if job_command not in COMMANDS:
         raise JobError(f"unknown command {job_command!r}")
     n = _job_int(data.get("n"), "n", 1)
-    variables = data.get("variables")
-    if (not isinstance(variables, list) or len(variables) != n
-            or any(not isinstance(v, str) or not v for v in variables)
-            or len(set(variables)) != n):
-        raise JobError(f"variables must be {n} distinct nonempty names")
+    variables = _job_names(data.get("variables"), "variables", n)
     map_exprs = data.get("map")
     if (not isinstance(map_exprs, list) or len(map_exprs) != n
             or any(not isinstance(e, str) for e in map_exprs)):
         raise JobError(f"map must be a list of {n} expression strings")
-    center_raw = data.get("center")
-    if not isinstance(center_raw, list) or len(center_raw) != n:
-        raise JobError(f"center must be a list of {n} rationals")
-    center = tuple(_exact_from_json(c, "center") for c in center_raw)
+    center = _job_point(data.get("center"), "center", n)
     degree = _job_int(data.get("degree"), "degree", 1)
     payload = {k: v for k, v in data.items() if k not in _CORE_KEYS}
-    return JobSpec(command=job_command, n=n, variables=list(variables),
+    return JobSpec(command=job_command, n=n, variables=variables,
                    map_exprs=list(map_exprs), center=center, degree=degree,
                    payload=payload)
 
@@ -280,7 +304,7 @@ class _JobContext:
         self.job = job
         self.out = Path(out_dir)
         self.window = (_job_int(window, "--window", 1) if window is not None
-                       else _job_int(job.payload.get("window", 10), "window", 1))
+                       else _job_opt_int(job.payload, "window", 10, 1))
         payload_trace = job.payload.get("trace", False)
         if not isinstance(payload_trace, bool):
             raise JobError(f"trace must be true or false, got {payload_trace!r}")
@@ -299,28 +323,24 @@ class _JobContext:
                                      self.pmap.default_profile_degree())))
 
     def image_variables(self):
-        names = self.job.payload.get("image_variables")
-        if names is None:
-            if self.job.n == 1:
-                return ["y"]
-            return [f"y{i + 1}" for i in range(self.job.n)]
-        if (not isinstance(names, list) or len(names) != self.job.n
-                or len(set(names)) != self.job.n):
-            raise JobError(f"image_variables must be {self.job.n} distinct names")
-        return list(names)
+        n = self.job.n
+        if "image_variables" in self.job.payload:
+            return _job_names(self.job.payload["image_variables"],
+                              "image_variables", n)
+        return ["y"] if n == 1 else [f"y{i + 1}" for i in range(n)]
 
     def series_payload(self, literal_key, expr_key, *, variables, center,
                        degree):
         """A series from either a literal or an expression payload field."""
-        literal = self.job.payload.get(literal_key)
-        expr = self.job.payload.get(expr_key)
-        if literal is not None and expr is not None:
-            raise JobError(f"give {literal_key!r} or {expr_key!r}, not both")
-        if literal is not None:
-            return _series_literal(literal, repr(literal_key))
-        if expr is None:
+        key = _one_of(self.job.payload, literal_key, expr_key)
+        if key is None:
             raise JobError(f"missing {literal_key!r} (or {expr_key!r}) payload")
-        return parse_polynomial(expr, variables, center, degree)
+        value = self.job.payload[key]
+        if key == literal_key:
+            return _series_literal(value, repr(key))
+        if not isinstance(value, str):
+            raise JobError(f"{expr_key} must be an expression string")
+        return parse_polynomial(value, variables, center, degree)
 
 
 def _cmd_compose(ctx):
@@ -340,11 +360,9 @@ def _cmd_recover(ctx):
     f = ctx.series_payload("f", "f_expr", variables=job.variables,
                            center=job.center, degree=job.degree)
     prof = ctx.profile()
-    target = job.payload.get("target_degree")
+    target = _job_opt_int(job.payload, "target_degree", None, 0)
     if target is None:
         target = max_recoverable_degree(prof.mu, f.trunc)
-    else:
-        _job_int(target, "target_degree", 0)
     germ = ctx.germ(max(working_degree(prof.mu, max(target, 1)) + 1, job.degree))
     report = recover(germ, f, target, trace=ctx.trace)
     return {
@@ -356,19 +374,13 @@ def _cmd_recover(ctx):
 
 def _grid_points(job):
     payload = job.payload
-    if "grid" in payload and "grid_axes" in payload:
-        raise JobError("give 'grid' or 'grid_axes', not both")
-    if "grid" in payload:
+    key = _one_of(payload, "grid", "grid_axes")
+    if key == "grid":
         raw = payload["grid"]
         if not isinstance(raw, list) or not raw:
             raise JobError("grid must be a nonempty list of points")
-        points = []
-        for p in raw:
-            if not isinstance(p, list) or len(p) != job.n:
-                raise JobError(f"grid point {p!r} must list {job.n} rationals")
-            points.append(tuple(_exact_from_json(c, "grid") for c in p))
-        return points
-    if "grid_axes" in payload:
+        return [_job_point(p, "grid point", job.n) for p in raw]
+    if key == "grid_axes":
         axes = payload["grid_axes"]
         if (not isinstance(axes, list) or len(axes) != job.n
                 or any(not isinstance(a, list) or not a for a in axes)):
@@ -385,9 +397,7 @@ def _grid_points(job):
 def _cmd_stratify(ctx):
     job = ctx.job
     points = _grid_points(job)
-    degree = job.payload.get("profile_degree")
-    if degree is not None:
-        _job_int(degree, "profile_degree", 1)
+    degree = _job_opt_int(job.payload, "profile_degree", None, 1)
     strat = stratify(ctx.pmap, points, degree=degree)
     report = {
         "command": "stratify",
@@ -422,12 +432,9 @@ def _fit_entry(rows, x, y):
 def _cmd_radius(ctx):
     job = ctx.job
     window = ctx.window
-    if "series" in job.payload and "family" in job.payload:
-        raise JobError("give 'series' or 'family', not both")
-    if "series" in job.payload:
-        series = ctx.series_payload("series", "series_expr",
-                                    variables=job.variables,
-                                    center=job.center, degree=job.degree)
+    key = _one_of(job.payload, "series", "family")
+    if key == "series":
+        series = _series_literal(job.payload["series"], "'series'")
         est = estimate_radius(series, window=window)
         report = {
             "command": "radius",
@@ -446,12 +453,12 @@ def _cmd_radius(ctx):
     for idx, member in enumerate(family):
         if not isinstance(member, dict):
             raise JobError(f"family[{idx}] must be an object")
-        t = member.get("t")
-        t_val = _exact_from_json(t, f"family[{idx}].t") if t is not None else None
+        t_val = (_exact_from_json(member["t"], f"family[{idx}].t")
+                 if "t" in member else None)
         row = {"t": str(Fraction(t_val)) if t_val is not None else None}
         radii = {}
         for key in ("f", "g"):
-            if member.get(key) is None:
+            if key not in member:
                 continue
             series = _series_literal(member[key], f"in family[{idx}].{key}")
             est = estimate_radius(series, window=window)
@@ -490,16 +497,11 @@ def _random_series(rng, n, center, degree, trunc=None):
 def _cmd_verify(ctx):
     job = ctx.job
     payload = job.payload
-    max_beta = payload.get("max_beta", 2)
-    monomial_degree = payload.get("monomial_degree", 4)
-    extraction_max = payload.get("extraction_max", 3)
-    roundtrip_degree = payload.get("roundtrip_degree", 3)
-    seed = payload.get("seed", 0)
-    for name, v in (("max_beta", max_beta), ("monomial_degree", monomial_degree),
-                    ("extraction_max", extraction_max),
-                    ("roundtrip_degree", roundtrip_degree)):
-        _job_int(v, f"verify payload {name}", 1)
-    _job_int(seed, "verify payload seed")
+    max_beta = _job_opt_int(payload, "max_beta", 2, 1)
+    monomial_degree = _job_opt_int(payload, "monomial_degree", 4, 1)
+    extraction_max = _job_opt_int(payload, "extraction_max", 3, 1)
+    roundtrip_degree = _job_opt_int(payload, "roundtrip_degree", 3, 1)
+    seed = _job_opt_int(payload, "seed", 0)
     mu = ctx.profile().mu
     work = working_degree(mu, max(max_beta, roundtrip_degree))
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,

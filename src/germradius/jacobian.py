@@ -1,10 +1,11 @@
-"""Jacobian matrix, determinant, adjugate, and pointwise vanishing invariants.
+"""Jacobian matrix, adjugate, and pointwise vanishing invariants.
 
 The adjugate is the transposed cofactor matrix, the unique matrix with
 J · adj(J) = adj(J) · J = det(J) · I.  For a 1x1 matrix the adjugate is the
 constant [1] (empty-minor convention), which forces the adjugate vanishing
 order to 0 in one variable and thereby pins the scaling exponent of the
-one-variable fixtures.
+one-variable fixtures.  The determinant is the first-row Laplace sum
+Σ_j J[0][j] · adj[j][0] over the cofactors the adjugate already holds.
 
 A profile is only meaningful relative to the truncation degree it was
 computed at; it records that degree and callers must not read more into it.
@@ -12,7 +13,6 @@ computed at; it records that degree and callers must not read more into it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -105,29 +105,19 @@ def _det(rows):
         for j in range(k))
 
 
-def determinant(m):
-    """Exact cofactor expansion; fine at the intended sizes (n <= 4)."""
-    return _det([list(r) for r in m.rows])
-
-
 def adjugate(m):
     """Transposed cofactor matrix; [1] for 1x1 by the empty-minor convention."""
     k = m.size
     if k == 1:
         e = m.entry(0, 0)
         return SeriesMatrix([[TruncatedSeries.constant(1, e.n, e.center, e.trunc)]])
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = [[m.entry(r, c) for c in range(k) if c != i]
-                     for r in range(k) if r != j]
-            term = _det(minor)
-            if (i + j) % 2:
-                term = -term
-            row.append(term)
-        out.append(row)
-    return SeriesMatrix(out)
+
+    def cofactor(i, j):
+        term = _det([[m.entry(r, c) for c in range(k) if c != i]
+                     for r in range(k) if r != j])
+        return -term if (i + j) % 2 else term
+
+    return SeriesMatrix([[cofactor(i, j) for j in range(k)] for i in range(k)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,28 +144,22 @@ class JacobianProfile:
 def profile(germ):
     """Vanishing invariants of the Jacobian determinant at the germ's centre.
 
-    Raises ``SingularJacobianError`` when the determinant (or the whole
-    adjugate) vanishes identically within the truncation degree; recovery and
-    radius work must refuse to run off such a germ.
+    Raises ``SingularJacobianError`` when the determinant vanishes
+    identically within the truncation degree; recovery and radius work must
+    refuse to run off such a germ.  A nonzero determinant is a sum of
+    products with adjugate entries, so some adjugate entry is nonzero too.
     """
     jac = jacobian_matrix(germ)
-    delta = determinant(jac)
     adj = adjugate(jac)
+    k = jac.size
+    delta = (jac.entry(0, 0) if k == 1 else _sum_of_products(
+        (jac.entry(0, j), adj.entry(j, 0)) for j in range(k)))
     if delta.is_zero:
         raise SingularJacobianError(
             f"Jacobian determinant vanishes identically to degree {delta.trunc}")
     alpha = min(delta.coeffs, key=grlex_key)
     mu = sum(alpha)
-    orders = []
-    for row in adj.rows:
-        for e in row:
-            o = e.order_at_center()
-            if o != math.inf:
-                orders.append(o)
-    if not orders:
-        raise SingularJacobianError(
-            f"adjugate vanishes identically to degree {adj.trunc}")
-    nu = min(orders)
+    nu = min(e.order_at_center() for row in adj.rows for e in row)
     d_alpha = as_exact(mi_factorial(alpha) * delta.coeffs[alpha])
     return JacobianProfile(
         delta=delta, adjugate=adj, mu=mu, nu=nu, alpha=alpha,

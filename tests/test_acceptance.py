@@ -20,7 +20,6 @@ from germradius import (
     build_t_operators,
     chain_rule_residuals,
     compose,
-    determinant,
     estimate_radius,
     extraction_witness,
     jacobian_matrix,

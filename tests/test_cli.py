@@ -479,6 +479,12 @@ _NUMBER_JOBS = {
     pytest.param("verify", {"roundtrip_degree": 0}, [], "roundtrip_degree",
                  id="roundtrip_degree-zero"),
     pytest.param("verify", {"seed": "0"}, [], "seed", id="seed-string"),
+    pytest.param("recover", {"target_degree": None}, [], "target_degree",
+                 id="target_degree-null"),
+    pytest.param("radius", {"window": None}, [], "window", id="window-null"),
+    pytest.param("stratify", {"profile_degree": None}, [], "profile_degree",
+                 id="profile_degree-null"),
+    pytest.param("verify", {"seed": None}, [], "seed", id="seed-null"),
 ])
 def test_exit_code_2_on_bad_job_number(tmp_path, capsys, command, patch,
                                        flags, field):
@@ -519,6 +525,21 @@ _TWO_D = dict(n=2, variables=["x", "y"], map=["x", "x*y"],
     pytest.param("compose", dict(_ONE_D, degree=6, g_expr="u^3",
                                  image_variables=["u", "v"]),
                  "image_variables", id="image_variables-length"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr="u^3",
+                                 image_variables=[["u"]]),
+                 "image_variables", id="image_variables-list-name"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr="u^3",
+                                 image_variables=[""]),
+                 "image_variables", id="image_variables-empty-name"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr="y^3",
+                                 image_variables=None),
+                 "image_variables", id="image_variables-null"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr=None), "g_expr",
+                 id="g_expr-null"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=None), "grid",
+                 id="grid-null"),
+    pytest.param("radius", dict(_ONE_D, degree=8, series=None), "'series'",
+                 id="series-null"),
     pytest.param("compose", dict(_ONE_D, degree=6, g_expr="y^3", g=_LITERAL),
                  "'g_expr'", id="g-and-g_expr"),
     pytest.param("recover", dict(_ONE_D, degree=8), "'f_expr'",

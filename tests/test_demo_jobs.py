@@ -3,6 +3,7 @@
 report, a CSV or a demo's printout fails here."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,13 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from germradius.cli import load_job, run_job
+from germradius.cli import COMMANDS, load_job, run_job
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 JOBS = DEMOS / "jobs"
 
 PLAIN = {
+    "compose_blowup": {
+        "report.json":
+            "76318b5b769349b2785cdfa8940ef44e2917f0eeda1e7e02f9dbc52137c726b7",
+    },
     "profile_square": {
         "report.json":
             "62020b7356441d7509f3f084568139182a9d2e921b840a81269d342c99ff3f05",
@@ -68,6 +73,12 @@ TRACED = {
 
 def test_every_demo_job_is_pinned():
     assert sorted(path.stem for path in JOBS.glob("*.json")) == sorted(PLAIN)
+
+
+def test_every_command_has_a_demo_job():
+    commands = {json.loads(path.read_text())["command"]
+                for path in JOBS.glob("*.json")}
+    assert commands == set(COMMANDS)
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
