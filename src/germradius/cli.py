@@ -275,11 +275,13 @@ def load_job(path, command=None):
     if not isinstance(data, dict):
         raise JobError("job file must hold a JSON object")
     job_command = data.get("command", command)
+    if "command" in data and job_command is None:
+        raise JobError("command must be a command name, got null")
     if job_command is None:
         raise JobError("no command given on the command line or in the job file")
-    if command is not None and data.get("command") not in (None, command):
+    if command is not None and job_command != command:
         raise JobError(
-            f"job file says command {data['command']!r} but {command!r} was requested")
+            f"job file says command {job_command!r} but {command!r} was requested")
     if job_command not in COMMANDS:
         raise JobError(f"unknown command {job_command!r}")
     n = _job_int(data.get("n"), "n", 1)

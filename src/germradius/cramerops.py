@@ -30,6 +30,12 @@ table, and the build is deterministic, so recomputation is bit-identical.
 Entries at level m carry truncation work_degree - (m - 1): each level spends
 one derivative.  Construction is sequential in the level; finished tables
 are immutable values.
+
+The levels run on ``pseries``'s packed product kernel at one width,
+work_degree.bit_length() bits per coordinate, which fits every cap of the
+run.  delta, the adjugate entries and the contractions s_j are packed once
+per run; table entries and the sums H_beta stay packed from one level to
+the next and are unpacked once, when their level is yielded.
 """
 
 from __future__ import annotations
@@ -50,7 +56,12 @@ from .pseries import (
     MapGerm,
     TruncatedSeries,
     _monomial_power,
+    _packed,
+    _packed_derivative,
+    _products_into,
+    _sorted_terms,
     _sum_of_products,
+    _unpacked,
     compose,
     series_to_dict,
 )
@@ -70,9 +81,16 @@ class TOperatorTable:
 
 class _LevelBuilder:
     """Builds successive operator levels from a determinant/adjugate pair,
-    either as table entries T[beta, alpha] or as operator sums H_beta."""
+    either as table entries T[beta, alpha] or as operator sums H_beta.
 
-    __slots__ = ("n", "center", "work_degree", "delta", "adj", "units", "s_cols")
+    Series are held as (trunc, sorted packed terms) pairs at one width,
+    shift = work_degree.bit_length(), which fits every cap of the run.
+    delta, each adjugate entry and each s_cols[j] are packed once, levels
+    stay packed from one to the next, and each entry is unpacked once, when
+    its level is yielded."""
+
+    __slots__ = ("n", "center", "work_degree", "shift", "delta", "adj",
+                 "units", "s_cols")
 
     def __init__(self, n, center, work_degree, delta, adj):
         if delta.trunc < work_degree:
@@ -82,23 +100,43 @@ class _LevelBuilder:
         self.n = n
         self.center = center
         self.work_degree = work_degree
-        self.delta = delta
-        self.adj = adj
+        self.shift = work_degree.bit_length() or 1
+        self.delta = self._pack(delta)
+        self.adj = [[self._pack(adj.entry(i, j)) for j in range(n)]
+                    for i in range(n)]
         self.units = [unit(n, i) for i in range(n)]
         # column contractions of the determinant gradient, reused at every level
-        grad = self._grad(delta)
-        self.s_cols = [self._contract(grad, j) for j in range(n)]
+        grad = [self._grad(self.delta)]
+        self.s_cols = [self._contract(grad, j, work_degree) for j in range(n)]
+
+    def _pack(self, series):
+        """``series`` capped at the working degree: no product exceeds it."""
+        w = self.work_degree
+        return min(series.trunc, w), _packed(series.coeffs, self.shift, w)
+
+    def levels(self, max_beta_degree, level_one, next_level):
+        """Yield (m, level) for m = 1..max_beta_degree, each entry unpacked:
+        ``level_one()`` builds level one and ``next_level(level, m)`` level
+        m + 1 from level m."""
+        if max_beta_degree < 1:
+            raise ValueError("max_beta_degree must be >= 1")
+        level = level_one()
+        for m in range(1, max_beta_degree + 1):
+            if m > 1:
+                level = next_level(level, m - 1)
+            yield m, {key: TruncatedSeries._raw(
+                self.n, self.center, trunc,
+                _unpacked(terms, self.n, self.shift))
+                for key, (trunc, terms) in level.items()}
 
     def base_level(self):
-        w = self.work_degree
         zero_idx = (0,) * self.n
         level = {}
         for j in range(self.n):
             beta = self.units[j]
-            level[(beta, zero_idx)] = TruncatedSeries.zero(self.n, self.center, w)
+            level[(beta, zero_idx)] = (self.work_degree, [])
             for i in range(self.n):
-                entry = self.adj.entry(i, j)
-                level[(beta, self.units[i])] = entry.truncated(min(entry.trunc, w))
+                level[(beta, self.units[i])] = self.adj[i][j]
         return level
 
     def _cap(self, level, cap):
@@ -109,18 +147,40 @@ class _LevelBuilder:
         return cap
 
     def _grad(self, series):
-        return [series.derive(u) for u in self.units]
+        trunc, terms = series
+        if trunc < 1:
+            raise TruncationError(
+                f"derivative order 1 exceeds truncation degree {trunc}",
+                needed_degree=1)
+        return [(trunc - 1, _packed_derivative(terms, i, self.n, self.shift))
+                for i in range(self.n)]
 
-    def _contract(self, grad, j, target=None):
-        """Σ_i adj[i][j] · grad[i], capped at ``target``."""
-        return _sum_of_products(
-            ((self.adj.entry(i, j), grad[i]) for i in range(self.n)), target)
+    def _contract(self, grads, j, target):
+        """Σ_i adj[i][j] · Σ_g g[i] over the gradients in ``grads``, capped
+        at ``target``, in one accumulator."""
+        col = [row[j] for row in self.adj]
+        trunc = min(target, *(a[0] for a in col),
+                    *(part[0] for g in grads for part in g))
+        limit = (trunc + 1) << self.n * self.shift
+        acc = {}
+        for g in grads:
+            for (_, a), (_, b) in zip(col, g):
+                _products_into(acc, a, b, limit)
+        return trunc, _sorted_terms(acc)
 
-    def _step(self, prev, grad, j, m, target):
+    def _step(self, prev, grads, j, m, target):
         """delta · Σ_i adj[i][j] · grad[i] - (2m - 1) · s_j · prev: the
-        level-(m+1) recurrence for ``prev`` with gradient ``grad``."""
-        return (self.delta.mul(self._contract(grad, j, target), upto=target)
-                + prev.mul(self.s_cols[j], upto=target) * -(2 * m - 1))
+        level-(m+1) recurrence for ``prev`` with gradient Σ ``grads``.  Both
+        products go into one accumulator; s_j's few terms carry the scale."""
+        c_trunc, contraction = self._contract(grads, j, target)
+        s_trunc, s = self.s_cols[j]
+        trunc = min(c_trunc, self.delta[0], prev[0], s_trunc)
+        limit = (trunc + 1) << self.n * self.shift
+        scale = -(2 * m - 1)
+        acc = {}
+        _products_into(acc, self.delta[1], contraction, limit)
+        _products_into(acc, prev[1], [(k, c * scale) for k, c in s], limit)
+        return trunc, _sorted_terms(acc)
 
     def _parents(self, m):
         """Each beta of degree m+1 with its contraction column j (the first
@@ -134,8 +194,8 @@ class _LevelBuilder:
         """Entries of degree m+1 from the degree-m entries; one whose
         T[beta, alpha] and T[beta, alpha - e_i] all vanish costs no products."""
         target = self._cap(m + 1, self.work_degree - m)
-        absent = TruncatedSeries.zero(self.n, self.center, target + 1)
-        zero = TruncatedSeries.zero(self.n, self.center, target)
+        absent = (target + 1, [])
+        zero = (target, [])
         alphas = enumerate_upto(self.n, m + 1)
         out = {}
         for beta_new, j, beta in self._parents(m):
@@ -144,39 +204,26 @@ class _LevelBuilder:
                 # mi_sub gives None for an invalid alpha - e_i: never a key
                 downs = [level.get((beta, mi_sub(alpha, u)), absent)
                          for u in self.units]
-                if prev.is_zero and all(d.is_zero for d in downs):
+                if not prev[1] and not any(d[1] for d in downs):
                     out[(beta_new, alpha)] = zero
                     continue
-                grad = downs if prev.is_zero else [
-                    d_prev + down for d_prev, down in zip(self._grad(prev), downs)]
-                out[(beta_new, alpha)] = self._step(prev, grad, j, m, target)
+                out[(beta_new, alpha)] = self._step(
+                    prev, [self._grad(prev), downs], j, m, target)
         return out
 
     def base_h_level(self, f):
         """H_{e_j} = Σ_i adj[i][j] · D^{e_i} f, capped at work_degree - 1."""
         target = self._cap(1, self.work_degree - 1)
-        grad = self._grad(f)
-        return {self.units[j]: self._contract(grad, j, target)
+        grads = [self._grad(self._pack(f))]
+        return {self.units[j]: self._contract(grads, j, target)
                 for j in range(self.n)}
 
     def next_h_level(self, level, m):
         """Operator sums of degree m+1 from the degree-m sums."""
         target = self._cap(m + 1, self.work_degree - m - 1)
-        grads = {beta: self._grad(h) for beta, h in level.items()}
+        grads = {beta: [self._grad(h)] for beta, h in level.items()}
         return {beta_new: self._step(level[beta], grads[beta], j, m, target)
                 for beta_new, j, beta in self._parents(m)}
-
-
-def _iter_levels(max_beta_degree, level_one, next_level):
-    """Yield (m, level) for m = 1..max_beta_degree: ``level_one()`` builds
-    level one and ``next_level(level, m)`` level m + 1 from level m."""
-    if max_beta_degree < 1:
-        raise ValueError("max_beta_degree must be >= 1")
-    level = level_one()
-    yield 1, level
-    for m in range(1, max_beta_degree):
-        level = next_level(level, m)
-        yield m + 1, level
 
 
 def iter_t_levels(germ, max_beta_degree, work_degree, prof):
@@ -188,7 +235,7 @@ def iter_t_levels(germ, max_beta_degree, work_degree, prof):
             f"{work_degree}", needed_degree=work_degree + 1)
     builder = _LevelBuilder(
         germ.n, germ.center, work_degree, prof.delta, prof.adjugate)
-    yield from _iter_levels(
+    yield from builder.levels(
         max_beta_degree, builder.base_level, builder.next_level)
 
 
@@ -198,11 +245,12 @@ def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
     the table built from ``delta`` and ``adj``, valid to degree
     work_degree - m at most.  It starts from H_{e_j} = Σ_i adj[i][j] · D^{e_i}
     f_series and takes the table's step with the gradient of H_beta, which
-    holds by linearity for every f_series, composite or not.
+    holds by linearity for every f_series, composite or not.  Each H_beta
+    stays packed between levels.
     """
     builder = _LevelBuilder(
         f_series.n, f_series.center, work_degree, delta, adj)
-    yield from _iter_levels(
+    yield from builder.levels(
         max_beta_degree, lambda: builder.base_h_level(f_series),
         builder.next_h_level)
 
@@ -290,7 +338,8 @@ def verify_identity_on_monomials(table, g_degree):
     kappas = enumerate_upto(n, g_degree)
     powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, germ.trunc)}
     for kappa in kappas:
-        _monomial_power(kappa, powers, devs, germ.trunc)
+        _monomial_power(kappa, powers,
+                        lambda p, j: p.mul(devs[j], upto=germ.trunc))
     all_alphas = enumerate_upto(n, table.max_beta_degree)
     derivs = {(kappa, alpha): powers[kappa].derive(alpha)
                 for kappa in kappas for alpha in all_alphas}

@@ -16,11 +16,17 @@ cannot reach down.  ``compose`` clears denominators once: its products and
 sums run over plain ints, with one division per output coefficient.
 
 Products work on packed exponents (Monagan & Pearce's packed exponent
-vectors): for a product capped at degree t, each exponent tuple becomes one
-int with t.bit_length() bits per coordinate, so the exponent of a product
-term is one integer addition, and each surviving key is unpacked once at the
-end.  Terms above the cap are skipped before packing; they cannot reach the
-product, and their coordinates could overflow into the next field.
+vectors).  For a cap t, each term of degree <= t becomes a (key,
+coefficient) pair: the key holds shift = t.bit_length() bits per
+coordinate, the first coordinate lowest, and the total degree in the top
+field.  The exponent of a product term is then one integer addition, and
+a term pair lies within the cap exactly when its key sum is below
+(t + 1) << n·shift.  Packed operands are sorted by key, so the one pair
+loop, ``_products_into``, breaks at the cap.  ``mul``, ``_sum_of_products``
+and ``compose`` all run on it: each packs its operands once, sums every
+product in packed keys and unpacks once.  Terms above the cap are dropped
+before packing; they cannot reach the product, and their coordinates
+could overflow into the next field.
 
 Series values are immutable once constructed: every operation returns a new
 object and instances can be shared freely between threads.
@@ -97,29 +103,65 @@ def _scaled(coeffs, value):
     return {g: c * value for g, c in coeffs.items()}
 
 
-def _packed_by_degree(coeffs, t, shift):
-    """Degree buckets of (packed exponent, coefficient) for the terms of
-    degree <= t: ``shift`` bits per coordinate, the first one lowest."""
-    out = {}
+def _packed(coeffs, shift, cap):
+    """Sorted (key, coefficient) terms of degree <= ``cap``.  A key holds the
+    total degree in its top field, above ``shift`` bits per coordinate with
+    the first coordinate lowest, so keys sort by degree first; terms above
+    the cap are dropped, since their coordinates could overflow a field."""
+    out = []
     for g, c in coeffs.items():
-        d = sum(g)
-        if d > t:
-            continue
-        key = 0
-        for e in reversed(g):
-            key = key << shift | e
-        out.setdefault(d, []).append((key, c))
+        key = sum(g)
+        if key <= cap:
+            for e in reversed(g):
+                key = key << shift | e
+            out.append((key, c))
+    out.sort()
     return out
 
 
-def _unpacked(acc, n, shift):
-    """Exponent-tuple dict of the nonzero packed terms in ``acc``."""
-    if n == 1:  # a 1-D key is the exponent itself
-        return {(k,): c for k, c in acc.items() if c}
+def _products_into(acc, a, b, limit):
+    """Add into ``acc`` each product of a term of ``a`` and a term of ``b``,
+    both sorted packed terms, whose key sum lies below ``limit``."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, ca in a:
+        room = limit - ka
+        for kb, cb in b:
+            if kb >= room:
+                break
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+
+
+def _sorted_terms(acc):
+    """The nonzero terms of a packed accumulator, sorted by key."""
+    terms = [kc for kc in acc.items() if kc[1]]
+    terms.sort()
+    return terms
+
+
+def _packed_derivative(terms, i, n, shift):
+    """D^{e_i} of sorted packed terms: every surviving key loses the same
+    constant, one degree and one unit of coordinate i, so it stays sorted."""
+    pos = i * shift
     mask = (1 << shift) - 1
+    drop = (1 << n * shift) + (1 << pos)
+    out = []
+    for k, c in terms:
+        e = k >> pos & mask
+        if e:
+            out.append((k - drop, c * e))
+    return out
+
+
+def _unpacked(terms, n, shift):
+    """Exponent-tuple dict of the nonzero (key, coefficient) ``terms``."""
+    mask = (1 << shift) - 1
+    if n == 1:  # below the degree field a 1-D key is the exponent itself
+        return {(k & mask,): c for k, c in terms if c}
     shifts = range(0, n * shift, shift)
-    return {tuple([k >> s & mask for s in shifts]): c
-            for k, c in acc.items() if c}
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in terms if c}
 
 
 class TruncatedSeries:
@@ -246,40 +288,11 @@ class TruncatedSeries:
 
     def mul(self, other, upto=None):
         """Cauchy product truncated at min of the operand degrees, or lower
-        when ``upto`` caps it.
-
-        Exponents are packed ``shift`` = t.bit_length() bits per coordinate
-        for the cap t, so a product exponent is one integer addition.  Only
-        terms of degree <= t are packed: a sum of two of them within the cap
-        keeps every coordinate below 2**shift, so no field carries into the
-        next, while a skipped term could not have landed within the cap.
-        Degree buckets keep the cost proportional to the pairs that do land
-        there; zeros are dropped once, when the keys are unpacked."""
-        self._require_same_frame(other)
-        t = min(self.trunc, other.trunc)
-        if upto is not None and upto < t:
-            t = upto
-        if t < 0:
-            raise TruncationError("product capped below degree 0")
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        shift = t.bit_length() or 1
-        a = _packed_by_degree(a, t, shift)
-        b = _packed_by_degree(b, t, shift)
-        acc = {}
-        get = acc.get
-        for da, items_a in a.items():
-            room = t - da
-            for db, items_b in b.items():
-                if db > room:
-                    continue
-                for ka, ca in items_a:
-                    for kb, cb in items_b:
-                        key = ka + kb
-                        acc[key] = get(key, 0) + ca * cb
-        return TruncatedSeries._raw(self.n, self.center, t,
-                                    _unpacked(acc, self.n, shift))
+        when ``upto`` caps it: the one-pair case of ``_sum_of_products``.
+        Both operands are packed with the total degree in the key's top
+        field, the sorted pair loop breaks at the cap, and the product is
+        unpacked once."""
+        return _sum_of_products(((self, other),), upto)
 
     def derive(self, alpha):
         """Formal derivative of mixed order ``alpha``; lowers trunc by |alpha|."""
@@ -371,8 +384,9 @@ def _cleared(series_list):
         for s in series_list]
 
 
-def _monomial_power(kappa, cache, devs, cap):
-    """(devs)^kappa with memoized predecessors, built without recursion."""
+def _monomial_power(kappa, cache, times):
+    """(devs)^kappa with memoized predecessors, built without recursion;
+    ``times(power, j)`` is the product step power · devs[j]."""
     stack = [kappa]
     while stack:
         cur = stack[-1]
@@ -385,7 +399,7 @@ def _monomial_power(kappa, cache, devs, cap):
         if p is None:
             stack.append(prev)
             continue
-        cache[cur] = p.mul(devs[j], upto=cap)
+        cache[cur] = times(p, j)
         stack.pop()
     return cache[kappa]
 
@@ -401,7 +415,9 @@ def compose(g, germ):
     The deviations are scaled once by the least common denominator L of
     their coefficients, and each weight g_κ / L^|κ| is written over one
     common denominator M, so the powers and their weighted sum are computed
-    over the integers; each output coefficient is then one division by M.
+    over the integers.  The deviations are packed once, the powers and the
+    weighted sum stay in packed keys, and each output coefficient is unpacked
+    once and divided once by M.
     """
     if not isinstance(germ, MapGerm):
         raise TypeError("compose expects a MapGerm as its second argument")
@@ -425,26 +441,57 @@ def compose(g, germ):
             r = math.gcd(c.numerator, scale)
             weights[kappa] = c.numerator // r, c.denominator * (scale // r)
     m = math.lcm(*(q for _, q in weights.values()))
-    zero = (0,) * germ.n
-    cache = {zero: TruncatedSeries._raw(germ.n, germ.center, t, {zero: 1})}
+    shift = t.bit_length() or 1
+    limit = (t + 1) << germ.n * shift
+    packed = [_packed(d.coeffs, shift, t) for d in devs]
+
+    def times(power, j):
+        acc = {}
+        _products_into(acc, power, packed[j], limit)
+        return _sorted_terms(acc)
+
+    cache = {(0,) * germ.n: [(0, 1)]}
     acc = {}
+    get = acc.get
     for kappa in sorted(weights, key=grlex_key):
         p, q = weights[kappa]
-        power = _monomial_power(kappa, cache, devs, t)
-        _add_into(acc, power.coeffs, p * (m // q))
+        w = p * (m // q)
+        for k, c in _monomial_power(kappa, cache, times):
+            acc[k] = get(k, 0) + w * c
+    acc = _unpacked(acc.items(), germ.n, shift)
     if m != 1:
         acc = {k: as_exact(Fraction(v, m)) for k, v in acc.items()}
     return TruncatedSeries._raw(germ.n, germ.center, t, acc)
 
 
 def _sum_of_products(pairs, upto=None):
-    """Σ a·b over the (a, b) pairs, each product capped at ``upto``, summed
-    with ``+`` in the order given."""
-    acc = None
+    """Σ a·b over the (a, b) pairs in one frame, truncated at the minimum of
+    every operand degree and ``upto``, as a chain of ``mul`` and ``+`` is.
+
+    Each distinct operand is packed once at shift = t.bit_length() for that
+    cap t.  A key carries the total degree in its top field, so a term pair
+    lies within the cap exactly when its key sum is below (t + 1) << n·shift;
+    then no coordinate field carries into the next.  Operands are sorted by
+    key, so the pair loop breaks at the cap.  Every product lands in one
+    accumulator, whose nonzero keys are unpacked once."""
+    pairs = list(pairs)
+    operands = {id(s): s for pair in pairs for s in pair}
+    first = pairs[0][0]
+    t = first.trunc if upto is None else upto
+    for s in operands.values():
+        first._require_same_frame(s)
+        t = min(t, s.trunc)
+    if t < 0:
+        raise TruncationError("product capped below degree 0")
+    n = first.n
+    shift = t.bit_length() or 1
+    limit = (t + 1) << n * shift
+    packed = {k: _packed(s.coeffs, shift, t) for k, s in operands.items()}
+    acc = {}
     for a, b in pairs:
-        term = a.mul(b, upto=upto)
-        acc = term if acc is None else acc + term
-    return acc
+        _products_into(acc, packed[id(a)], packed[id(b)], limit)
+    return TruncatedSeries._raw(n, first.center, t,
+                                _unpacked(acc.items(), n, shift))
 
 
 def product_coefficient(a, b, gamma):

@@ -1,7 +1,8 @@
 """Shared fixture builders (parsed germs, seeded random series and maps),
-the reference product that tests check ``TruncatedSeries.mul`` against,
-the table-based operator sum that tests check the H recurrence against, and
-the identity series matrix."""
+the reference product and composition that tests check
+``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
+sum that tests check the H recurrence against, and the identity series
+matrix."""
 
 from fractions import Fraction
 
@@ -68,6 +69,24 @@ def reference_mul(a, b, upto=None):
             elif key in out:
                 del out[key]
     return TruncatedSeries(a.n, a.center, t, out)
+
+
+def reference_compose(g, germ):
+    """Σ_κ g_κ · Π_i dev_i^κ_i from ``reference_mul`` products and plain
+    sums over exponent tuples: the oracle for ``compose``."""
+    t = min(g.trunc, germ.trunc)
+    devs = [d.truncated(t) for d in germ.deviations()]
+    out = {}
+    for kappa, c in g.coeffs.items():
+        if sum(kappa) > t:
+            continue
+        power = TruncatedSeries.constant(1, germ.n, germ.center, t)
+        for dev, e in zip(devs, kappa):
+            for _ in range(e):
+                power = reference_mul(power, dev)
+        for gamma, v in power.coeffs.items():
+            out[gamma] = out.get(gamma, 0) + c * v
+    return TruncatedSeries(germ.n, germ.center, t, out)
 
 
 def identity_matrix(n_vars, center, trunc, size):

@@ -446,7 +446,24 @@ def test_exit_code_2_on_bad_job(tmp_path):
     assert main(["profile", "--job", str(path), "--out", str(tmp_path)]) == 2
 
 
-_ONE_D = dict(n=1, variables=["x"], map=["x^2"], center=["0"])
+def test_exit_code_2_on_null_command(tmp_path, capsys):
+    # a present "command" key must name a command, even when the command
+    # line gives one
+    path = write_job(tmp_path, **dict(BASE, command=None))
+    out = tmp_path / "out"
+    assert main(["profile", "--job", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "command must be" in err
+    assert not (out / "report.json").exists()
+
+
+def test_load_job_null_command_without_command_line(tmp_path):
+    path = write_job(tmp_path, **dict(BASE, command=None))
+    with pytest.raises(JobError, match="command must be"):
+        load_job(path)
+
+
+_ONE_D =dict(n=1, variables=["x"], map=["x^2"], center=["0"])
 _NUMBER_JOBS = {
     "profile": dict(_ONE_D, degree=8),
     "recover": dict(_ONE_D, degree=8, f_expr="x^2"),

@@ -23,11 +23,18 @@ from germradius import (
     series_from_dict,
     series_to_dict,
 )
-from germradius.mindex import enumerate_upto
+from germradius.mindex import enumerate_upto, unit
+from germradius.pseries import (
+    _packed,
+    _packed_derivative,
+    _sum_of_products,
+    _unpacked,
+)
 from helpers import (
     germ_of,
     identity_germ,
     random_series,
+    reference_compose,
     reference_mul,
     series_of,
     square_germ,
@@ -201,6 +208,74 @@ def test_mul_drops_cancelled_terms():
     rest = S({(0,): 1, (1,): -1, (2,): 1})
     assert one_plus_x.mul(rest, upto=2).coeffs == {(0,): 1}
     _assert_mul_matches_reference(one_plus_x, rest, upto=2)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 7, 15, 31, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mul_matches_reference_at_full_field_caps(n, cap):
+    # at cap = 2**k - 1 a coordinate fills its k-bit field, and a pair just
+    # past the cap carries into the next field or into the degree field
+    rng = random.Random(1000 * n + cap)
+
+    def near_cap():
+        coeffs = {}
+        for i in range(n):
+            for d in (0, 1, cap - 1, cap, cap + 1):
+                coeffs[tuple(d * e for e in unit(n, i))] = _coeff(rng, True)
+        for d in (1, 2, cap - 2, cap - 1, cap, cap + 1):
+            for _ in range(4 if d >= 0 else 0):
+                coeffs[_exponent(rng, n, d)] = _coeff(rng, rng.random() < 0.5)
+        return TruncatedSeries(n, (0,) * n, cap + 1, coeffs)
+
+    a, b = near_cap(), near_cap()
+    _assert_mul_matches_reference(a, b, upto=cap)
+    _assert_mul_matches_reference(b, a, upto=cap)
+    _assert_mul_matches_reference(a, a, upto=cap)
+    _assert_mul_matches_reference(a.truncated(cap), b)
+
+
+def _mixed_series(rng, n):
+    """Random int and Fraction terms below a random truncation degree."""
+    trunc = rng.randint(0, 9)
+    coeffs = {_exponent(rng, n, rng.randint(0, trunc)):
+              _coeff(rng, rng.random() < 0.5)
+              for _ in range(rng.randint(0, 12))}
+    return TruncatedSeries(n, (0,) * n, trunc, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sum_of_products_matches_reference_sum(n):
+    # operands with their own truncations, some shared between pairs, and
+    # the cap given by ``upto`` or by the operands
+    rng = random.Random(40 + n)
+    for upto in (None, 0, 1, 3, 5, 8, None, 4):
+        operands = [_mixed_series(rng, n) for _ in range(4)]
+        pairs = [(rng.choice(operands), rng.choice(operands))
+                 for _ in range(rng.randint(1, 5))]
+        got = _sum_of_products(pairs, upto)
+        ref = reference_mul(*pairs[0], upto)
+        for a, b in pairs[1:]:
+            ref = ref + reference_mul(a, b, upto)
+        assert got.coeffs == ref.coeffs
+        assert got.trunc == ref.trunc
+        assert all(got.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_derivative_matches_derive(n):
+    rng = random.Random(70 + n)
+    for _ in range(12):
+        s = _mixed_series(rng, n)
+        if not s.trunc:
+            continue
+        shift = s.trunc.bit_length()
+        terms = _packed(s.coeffs, shift, s.trunc)
+        for i in range(n):
+            got = _packed_derivative(terms, i, n, shift)
+            want = s.derive(unit(n, i)).coeffs
+            # the same keys, degree field included, in the same order
+            assert got == _packed(want, shift, s.trunc)
+            assert _unpacked(got, n, shift) == want
 
 
 _COEFFS = st.one_of(st.integers(-9, 9),
@@ -404,6 +479,19 @@ def test_compose_matches_fraction_reference(n):
         assert got.trunc == min(g.trunc, germ.trunc)
         assert all(type(c) is int for c in got.coeffs.values()
                    if Fraction(c).denominator == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compose_matches_tuple_reference_off_origin(n):
+    # rational centres and deviations against products on exponent tuples
+    rng = random.Random(300 + n)
+    germ_trunc = {1: 8, 2: 6, 3: 4}[n]
+    for _ in range(4):
+        germ = _random_germ(rng, n, germ_trunc, rational=True)
+        g_trunc = germ_trunc + rng.randint(-1, 1)
+        g = TruncatedSeries(n, germ.image_point, g_trunc,
+                            _random_coeffs(rng, n, g_trunc, rational=True))
+        assert compose(g, germ) == reference_compose(g, germ)
 
 
 def _sqrt_recovery():

@@ -161,6 +161,25 @@ def test_streamed_h_matches_table_sum(n, singular):
         assert report.composite_within_checked_degree == (not singular)
 
 
+@pytest.mark.parametrize("n,singular", [
+    (1, False), (1, True), (2, False), (2, True), (3, False), (3, True)])
+def test_streamed_h_keeps_the_working_truncation(n, singular):
+    # level m of the H recurrence is valid to degree work - m, also when F
+    # carries more degrees than the working rule needs
+    rng = random.Random(950 + n + 10 * singular)
+    target = 3
+    work = working_degree(int(singular), target)
+    germ = random_map(rng, n, trunc=work + 1, singular=singular, max_mu=1)
+    prof = profile(germ)
+    for extra in (0, 2):
+        f = _fraction_series(rng, n, germ.center, work + extra)
+        levels = list(iter_h_levels(f, target, work, prof.delta,
+                                    prof.adjugate))
+        assert [m for m, _ in levels] == list(range(1, target + 1))
+        for m, level in levels:
+            assert level and all(h.trunc == work - m for h in level.values())
+
+
 # -- extraction lemma ---------------------------------------------------------
 
 
