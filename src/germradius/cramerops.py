@@ -11,31 +11,35 @@ exactly within truncation.  Level one is Cramer's rule: T[e_j, e_i] is the
 (i, j) adjugate entry and T[e_j, 0] = 0.  Level m+1 comes from the level-m
 identity by differentiating in direction e_i, contracting with adjugate
 column j (the smallest coordinate of the new beta), and multiplying through
-by delta.  For an operator H_beta satisfying the level-m identity, with
+by delta.  For an operator sum H_beta satisfying the level-m identity, with
 gradient D_i H_beta, that is one step:
 
     H_{beta + e_j} = delta · Σ_i adj[i][j] · D_i H_beta
                      - (2|beta| - 1) · (Σ_i adj[i][j] · D^{e_i} delta) · H_beta
 
-The table takes it on the operator row H_beta = Σ_alpha T[beta, alpha] · D^alpha,
-whose gradient at alpha is, by Leibniz (invalid alpha - e_i skipped),
-
-    (D_i T)[alpha] = D^{e_i} T[beta, alpha] + T[beta, alpha - e_i];
-
-``iter_h_levels`` takes the same step on the sums Σ_alpha T[beta, alpha] · D^alpha f
-for one f, which recovery reads.  The recurrence is a construction device;
-the identity check over a monomial basis is the contract that certifies a
-table, and the build is deterministic, so recomputation is bit-identical.
+Take g ∘ germ = e^{z·(x - a)}: D^alpha becomes multiplication by z^alpha, so
+the table row R_beta = Σ_alpha T[beta, alpha] · z^alpha is that exponential's
+operator sum divided by it.  The rows take the same step with the gradient
+D_i R_beta + z_i · R_beta, from R_{e_j} = Σ_i z_i · adj[i][j];
+``iter_t_levels`` splits each row into its entries, and ``iter_h_levels``
+takes the step on the sums Σ_alpha T[beta, alpha] · D^alpha f for one f,
+which recovery reads.  The recurrence is a construction device; the identity
+check over a monomial basis is the contract that certifies a table, and the
+build is deterministic, so recomputation is bit-identical.
 
 Entries at level m carry truncation work_degree - (m - 1): each level spends
 one derivative.  Construction is sequential in the level; finished tables
 are immutable values.
 
-The levels run on ``pseries``'s packed product kernel at one width,
-work_degree.bit_length() bits per coordinate, which fits every cap of the
-run.  delta, the adjugate entries and the contractions s_j are packed once
-per run; table entries and the sums H_beta stay packed from one level to
-the next and are unpacked once, when their level is yielded.
+The levels run on ``pseries``'s packed product kernel.  A sum key holds n
+coordinate fields below the degree field.  A row key puts n marker fields
+for the exponent of z between them, and its degree field counts x only, so
+the cap stays one comparison.  Every field has
+max(work_degree, max_beta_degree).bit_length() bits: a coordinate stays
+within the working degree and a marker reaches max_beta_degree.  delta, the
+adjugate entries and the contractions s_j are packed once per run; rows and
+sums stay packed from one level to the next and are unpacked once, when
+their level is yielded.
 """
 
 from __future__ import annotations
@@ -80,31 +84,34 @@ class TOperatorTable:
 
 
 class _LevelBuilder:
-    """Builds successive operator levels from a determinant/adjugate pair,
-    either as table entries T[beta, alpha] or as operator sums H_beta.
+    """Builds successive operator levels from a determinant/adjugate pair in
+    one level loop with one step, either as operator rows R_beta (``rows``)
+    or as operator sums H_beta.  Series are held as (trunc, sorted packed
+    terms) pairs in the key layout of the module docstring."""
 
-    Series are held as (trunc, sorted packed terms) pairs at one width,
-    shift = work_degree.bit_length(), which fits every cap of the run.
-    delta, each adjugate entry and each s_cols[j] are packed once, levels
-    stay packed from one to the next, and each entry is unpacked once, when
-    its level is yielded."""
+    __slots__ = ("n", "center", "work_degree", "max_beta_degree", "shift",
+                 "fields", "z", "delta", "adj", "s_cols")
 
-    __slots__ = ("n", "center", "work_degree", "shift", "delta", "adj",
-                 "units", "s_cols")
-
-    def __init__(self, n, center, work_degree, delta, adj):
+    def __init__(self, n, center, work_degree, max_beta_degree, delta, adj,
+                 rows):
         if delta.trunc < work_degree:
             raise TruncationError(
                 f"determinant truncation {delta.trunc} below working degree "
                 f"{work_degree}", needed_degree=work_degree)
+        if max_beta_degree < 1:
+            raise ValueError("max_beta_degree must be >= 1")
         self.n = n
         self.center = center
         self.work_degree = work_degree
-        self.shift = work_degree.bit_length() or 1
+        self.max_beta_degree = max_beta_degree
+        self.shift = max(work_degree, max_beta_degree).bit_length() or 1
+        markers = n if rows else 0
+        self.fields = n + markers
+        # z_i times a row adds this constant to every key
+        self.z = [1 << (n + i) * self.shift for i in range(markers)]
         self.delta = self._pack(delta)
         self.adj = [[self._pack(adj.entry(i, j)) for j in range(n)]
                     for i in range(n)]
-        self.units = [unit(n, i) for i in range(n)]
         # column contractions of the determinant gradient, reused at every level
         grad = [self._grad(self.delta)]
         self.s_cols = [self._contract(grad, j, work_degree) for j in range(n)]
@@ -112,39 +119,35 @@ class _LevelBuilder:
     def _pack(self, series):
         """``series`` capped at the working degree: no product exceeds it."""
         w = self.work_degree
-        return min(series.trunc, w), _packed(series.coeffs, self.shift, w)
+        pad = (0,) * (self.fields - self.n)
+        return min(series.trunc, w), _packed(
+            {g + pad: c for g, c in series.coeffs.items()}, self.shift, w)
 
-    def levels(self, max_beta_degree, level_one, next_level):
-        """Yield (m, level) for m = 1..max_beta_degree, each entry unpacked:
-        ``level_one()`` builds level one and ``next_level(level, m)`` level
-        m + 1 from level m."""
-        if max_beta_degree < 1:
-            raise ValueError("max_beta_degree must be >= 1")
-        level = level_one()
-        for m in range(1, max_beta_degree + 1):
-            if m > 1:
-                level = next_level(level, m - 1)
-            yield m, {key: TruncatedSeries._raw(
-                self.n, self.center, trunc,
-                _unpacked(terms, self.n, self.shift))
-                for key, (trunc, terms) in level.items()}
+    def _series(self, trunc, terms):
+        return TruncatedSeries._raw(self.n, self.center, trunc,
+                                    _unpacked(terms, self.n, self.shift))
 
-    def base_level(self):
-        zero_idx = (0,) * self.n
-        level = {}
-        for j in range(self.n):
-            beta = self.units[j]
-            level[(beta, zero_idx)] = (self.work_degree, [])
-            for i in range(self.n):
-                level[(beta, self.units[i])] = self.adj[i][j]
-        return level
-
-    def _cap(self, level, cap):
-        if cap < 0:
-            raise TruncationError(
-                f"working degree {self.work_degree} exhausted at level {level}",
-                needed_degree=level - 1)
-        return cap
+    def levels(self, first, cap):
+        """Yield (m, {beta: packed S_beta}) for m = 1..max_beta_degree.
+        Level one is S_{e_j} = Σ_i adj[i][j] · first[i] capped at ``cap``;
+        each later level is capped one degree below the one before and takes
+        ``_step`` on the gradient parts of S_beta."""
+        for m in range(1, self.max_beta_degree + 1):
+            if cap < 0:
+                raise TruncationError(
+                    f"working degree {self.work_degree} exhausted at level {m}",
+                    needed_degree=m - 1)
+            if m == 1:
+                level = {unit(self.n, j): self._contract([first], j, cap)
+                         for j in range(self.n)}
+            else:
+                parts = {beta: [self._grad(s), self._marked(s)]
+                         for beta, s in level.items()}
+                level = {beta_new: self._step(level[beta], parts[beta], j,
+                                              m - 1, cap)
+                         for beta_new, j, beta in self._parents(m - 1)}
+            yield m, level
+            cap -= 1
 
     def _grad(self, series):
         trunc, terms = series
@@ -152,8 +155,14 @@ class _LevelBuilder:
             raise TruncationError(
                 f"derivative order 1 exceeds truncation degree {trunc}",
                 needed_degree=1)
-        return [(trunc - 1, _packed_derivative(terms, i, self.n, self.shift))
+        return [(trunc - 1,
+                 _packed_derivative(terms, i, self.fields, self.shift))
                 for i in range(self.n)]
+
+    def _marked(self, series):
+        """The parts z_i · series; none on the sums, which carry no markers."""
+        trunc, terms = series
+        return [(trunc, [(k + z, c) for k, c in terms]) for z in self.z]
 
     def _contract(self, grads, j, target):
         """Σ_i adj[i][j] · Σ_g g[i] over the gradients in ``grads``, capped
@@ -161,7 +170,7 @@ class _LevelBuilder:
         col = [row[j] for row in self.adj]
         trunc = min(target, *(a[0] for a in col),
                     *(part[0] for g in grads for part in g))
-        limit = (trunc + 1) << self.n * self.shift
+        limit = (trunc + 1) << self.fields * self.shift
         acc = {}
         for g in grads:
             for (_, a), (_, b) in zip(col, g):
@@ -175,7 +184,7 @@ class _LevelBuilder:
         c_trunc, contraction = self._contract(grads, j, target)
         s_trunc, s = self.s_cols[j]
         trunc = min(c_trunc, self.delta[0], prev[0], s_trunc)
-        limit = (trunc + 1) << self.n * self.shift
+        limit = (trunc + 1) << self.fields * self.shift
         scale = -(2 * m - 1)
         acc = {}
         _products_into(acc, self.delta[1], contraction, limit)
@@ -190,53 +199,37 @@ class _LevelBuilder:
             beta = beta_new[:j] + (beta_new[j] - 1,) + beta_new[j + 1:]
             yield beta_new, j, beta
 
-    def next_level(self, level, m):
-        """Entries of degree m+1 from the degree-m entries; one whose
-        T[beta, alpha] and T[beta, alpha - e_i] all vanish costs no products."""
-        target = self._cap(m + 1, self.work_degree - m)
-        absent = (target + 1, [])
-        zero = (target, [])
-        alphas = enumerate_upto(self.n, m + 1)
+    def entries(self, rows, m):
+        """Split each degree-m row into T[beta, alpha] for |alpha| <= m: the
+        x-part of its z^alpha terms, or zero at the row's truncation."""
+        xbits = self.n * self.shift
+        xmask = (1 << xbits) - 1
+        zmask = xmask << xbits
+        alphas = [(alpha, sum(a * z for a, z in zip(alpha, self.z)))
+                  for alpha in enumerate_upto(self.n, m)]
         out = {}
-        for beta_new, j, beta in self._parents(m):
-            for alpha in alphas:
-                prev = level.get((beta, alpha), absent)
-                # mi_sub gives None for an invalid alpha - e_i: never a key
-                downs = [level.get((beta, mi_sub(alpha, u)), absent)
-                         for u in self.units]
-                if not prev[1] and not any(d[1] for d in downs):
-                    out[(beta_new, alpha)] = zero
-                    continue
-                out[(beta_new, alpha)] = self._step(
-                    prev, [self._grad(prev), downs], j, m, target)
+        for beta, (trunc, terms) in rows.items():
+            split = {}
+            for k, c in terms:
+                split.setdefault(k & zmask, []).append((k & xmask, c))
+            for alpha, zkey in alphas:
+                out[(beta, alpha)] = self._series(trunc, split.get(zkey, ()))
         return out
-
-    def base_h_level(self, f):
-        """H_{e_j} = Σ_i adj[i][j] · D^{e_i} f, capped at work_degree - 1."""
-        target = self._cap(1, self.work_degree - 1)
-        grads = [self._grad(self._pack(f))]
-        return {self.units[j]: self._contract(grads, j, target)
-                for j in range(self.n)}
-
-    def next_h_level(self, level, m):
-        """Operator sums of degree m+1 from the degree-m sums."""
-        target = self._cap(m + 1, self.work_degree - m - 1)
-        grads = {beta: [self._grad(h)] for beta, h in level.items()}
-        return {beta_new: self._step(level[beta], grads[beta], j, m, target)
-                for beta_new, j, beta in self._parents(m)}
 
 
 def iter_t_levels(germ, max_beta_degree, work_degree, prof):
     """Yield (m, level entries) for m = 1..max_beta_degree, one level at a
-    time, from the germ's profile ``prof``."""
+    time, from the germ's profile ``prof``.  Level one is the row
+    R_{e_j} = Σ_i z_i · adj[i][j]."""
     if germ.trunc < work_degree + 1:
         raise TruncationError(
             f"map germ truncation {germ.trunc} too low for working degree "
             f"{work_degree}", needed_degree=work_degree + 1)
-    builder = _LevelBuilder(
-        germ.n, germ.center, work_degree, prof.delta, prof.adjugate)
-    yield from builder.levels(
-        max_beta_degree, builder.base_level, builder.next_level)
+    builder = _LevelBuilder(germ.n, germ.center, work_degree, max_beta_degree,
+                            prof.delta, prof.adjugate, rows=True)
+    markers = [(work_degree, [(z, 1)]) for z in builder.z]
+    for m, rows in builder.levels(markers, work_degree):
+        yield m, builder.entries(rows, m)
 
 
 def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
@@ -248,11 +241,11 @@ def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
     holds by linearity for every f_series, composite or not.  Each H_beta
     stays packed between levels.
     """
-    builder = _LevelBuilder(
-        f_series.n, f_series.center, work_degree, delta, adj)
-    yield from builder.levels(
-        max_beta_degree, lambda: builder.base_h_level(f_series),
-        builder.next_h_level)
+    builder = _LevelBuilder(f_series.n, f_series.center, work_degree,
+                            max_beta_degree, delta, adj, rows=False)
+    first = builder._grad(builder._pack(f_series))
+    for m, level in builder.levels(first, work_degree - 1):
+        yield m, {beta: builder._series(*h) for beta, h in level.items()}
 
 
 def working_degree(mu, max_beta_degree):

@@ -80,13 +80,11 @@ def _clean_coeffs(coeffs, n, trunc=None):
     return clean
 
 
-def _add_into(out, coeffs, factor=1):
-    """Add ``factor * coeffs`` into ``out`` in place, dropping the zeros the
-    sum makes; returns ``out``."""
-    # A plain sum skips the product: 1 * Fraction builds a new Fraction.
-    unit = factor == 1
+def _add_into(out, coeffs):
+    """Add ``coeffs`` into ``out`` in place, dropping the zeros the sum
+    makes; returns ``out``."""
     for g, c in coeffs.items():
-        s = out.get(g, 0) + (c if unit else factor * c)
+        s = out.get(g, 0) + c
         if s:
             out[g] = s
         elif g in out:
@@ -141,12 +139,13 @@ def _sorted_terms(acc):
     return terms
 
 
-def _packed_derivative(terms, i, n, shift):
-    """D^{e_i} of sorted packed terms: every surviving key loses the same
-    constant, one degree and one unit of coordinate i, so it stays sorted."""
+def _packed_derivative(terms, i, fields, shift):
+    """D^{e_i} of sorted packed terms whose degree field sits above
+    ``fields`` fields: every surviving key loses the same constant, one
+    degree and one unit of coordinate i, so it stays sorted."""
     pos = i * shift
     mask = (1 << shift) - 1
-    drop = (1 << n * shift) + (1 << pos)
+    drop = (1 << fields * shift) + (1 << pos)
     out = []
     for k, c in terms:
         e = k >> pos & mask
@@ -552,8 +551,9 @@ def series_to_dict(series):
 
 def _json_rational(value):
     """An exact rational from a JSON int or text such as '-3/2'; a bool, a
-    zero denominator or unreadable text is a ValueError."""
-    if isinstance(value, bool):
+    float, a zero denominator or unreadable text is a ValueError.  A float
+    is refused because its repr can drop digits the file spells."""
+    if isinstance(value, (bool, float)):
         raise ValueError(f"not a rational: {value!r}")
     try:
         return as_exact(value if isinstance(value, int) else str(value))
@@ -569,7 +569,10 @@ def series_from_dict(data):
         trunc = data["degree"]
         coeffs = {}
         for term in data.get("terms", ()):
-            coeffs[tuple(term["index"])] = _json_rational(term["coeff"])
+            index = tuple(term["index"])
+            if index in coeffs:
+                raise ValueError(f"repeated index {list(index)}")
+            coeffs[index] = _json_rational(term["coeff"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed series literal: {exc}") from exc
     return TruncatedSeries(n, center, trunc, coeffs)

@@ -1,7 +1,8 @@
 """Shared fixture builders (parsed germs, seeded random series and maps),
 the reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
-sum that tests check the H recurrence against, and the identity series
+sum that tests check the H recurrence against, the row-by-row operator
+table that tests check the level builder against, and the identity series
 matrix."""
 
 from fractions import Fraction
@@ -14,7 +15,12 @@ from germradius import (
     profile,
 )
 from germradius.cli import parse_expression, parse_polynomial
-from germradius.mindex import enumerate_upto
+from germradius.mindex import (
+    enumerate_degree,
+    enumerate_upto,
+    sub as mi_sub,
+    unit,
+)
 from germradius.polymap import Polynomial, PolynomialMap
 
 
@@ -104,6 +110,49 @@ def assemble_H(table, f, beta):
     for alpha in enumerate_upto(f.n, sum(beta)):
         total = total + table.entry(beta, alpha).mul(f.derive(alpha))
     return total
+
+
+def leibniz_table(germ, max_beta_degree, work_degree):
+    """Operator table entries from the explicit row recurrence, on
+    ``TruncatedSeries`` ``derive``, ``mul`` and ``+``:
+
+        T[beta + e_j, alpha] = delta · Σ_i adj[i][j] · (D_i T[beta, alpha]
+                               + T[beta, alpha - e_i])
+                               - (2m - 1) · s_j · T[beta, alpha]
+
+    with s_j = Σ_i adj[i][j] · D_i delta, from T[e_j, e_i] = adj[i][j] and
+    T[e_j, 0] = 0 at the working degree: the oracle for
+    ``cramerops.build_t_operators``."""
+    n, center, w = germ.n, germ.center, work_degree
+    prof = profile(germ)
+    delta = prof.delta.truncated(w)
+    adj = [[prof.adjugate.entry(i, j).truncated(w) for j in range(n)]
+           for i in range(n)]
+    units = [unit(n, i) for i in range(n)]
+    s = [sum((adj[i][j].mul(delta.derive(units[i])) for i in range(n)),
+             TruncatedSeries.zero(n, center, w)) for j in range(n)]
+    table = {}
+    for j in range(n):
+        table[(units[j], (0,) * n)] = TruncatedSeries.zero(n, center, w)
+        for i in range(n):
+            table[(units[j], units[i])] = adj[i][j]
+    for m in range(1, max_beta_degree):
+        absent = TruncatedSeries.zero(n, center, w - m + 1)
+        for beta_new in enumerate_degree(n, m + 1):
+            j = next(k for k, e in enumerate(beta_new) if e)
+            beta = mi_sub(beta_new, units[j])
+            for alpha in enumerate_upto(n, m + 1):
+                prev = table.get((beta, alpha), absent)
+                total = TruncatedSeries.zero(n, center, w - m)
+                for i in range(n):
+                    part = prev.derive(units[i])
+                    down = mi_sub(alpha, units[i])
+                    if down is not None:
+                        part = part + table[(beta, down)]
+                    total = total + adj[i][j].mul(part)
+                table[(beta_new, alpha)] = (
+                    delta.mul(total) - (2 * m - 1) * s[j].mul(prev))
+    return table
 
 
 def random_series(rng, n, degree, center=None, span=4, density=0.7,

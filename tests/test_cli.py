@@ -209,6 +209,11 @@ def test_load_job_roundtrip(tmp_path):
     assert job.command == "profile" and job.n == 1 and job.degree == 8
 
 
+def test_load_job_reads_text_rationals(tmp_path):
+    job = load_job(write_job(tmp_path, **dict(BASE, center=["1/2"])))
+    assert job.center == (Fraction(1, 2),)
+
+
 @pytest.mark.parametrize("patch", [
     {"n": 0}, {"variables": ["x", "x"]}, {"variables": "x"},
     {"map": ["x", "y"]}, {"center": ["0", "0"]}, {"degree": 0},
@@ -586,6 +591,27 @@ _TWO_D = dict(n=2, variables=["x", "y"], map=["x", "x*y"],
                  "family[0]", id="family-member-not-object"),
     pytest.param("profile", [dict(_ONE_D, degree=8)], "JSON object",
                  id="job-is-a-list"),
+    # a JSON float can lose digits: 0.12345678901234567890 parses as
+    # 0.12345678901234568, so no float is read as a rational
+    pytest.param("profile", dict(_ONE_D, degree=8, center=[0.5]), "center",
+                 id="center-float"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=[[0.5]]),
+                 "grid point", id="grid-point-float"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid_axes=[[0.5]]),
+                 "grid_axes", id="grid_axes-float"),
+    pytest.param("radius", dict(_ONE_D, degree=8, family=[
+        {"t": 0.5, "f": _LITERAL}]), "family[0].t", id="family-t-float"),
+    pytest.param("radius", dict(_ONE_D, degree=8, series=dict(
+        _LITERAL, terms=[{"index": [1], "coeff": 0.5}])), "'series'",
+                 id="series-coeff-float"),
+    pytest.param("radius", dict(_ONE_D, degree=8, series=dict(
+        _LITERAL, terms=[{"index": [1], "coeff": "2"},
+                         {"index": [1], "coeff": "3"}])),
+                 "repeated index [1]", id="series-repeated-index"),
+    pytest.param("radius", dict(_ONE_D, degree=8, family=[{"g": dict(
+        _LITERAL, terms=[{"index": [1], "coeff": "2"},
+                         {"index": [1], "coeff": "2"}])}]),
+                 "family[0].g", id="family-g-repeated-index"),
 ])
 def test_exit_code_2_on_bad_payload(tmp_path, capsys, command, job, field):
     path = tmp_path / "job.json"

@@ -25,6 +25,7 @@ from helpers import (
     cube_germ,
     germ_of,
     identity_germ,
+    leibniz_table,
     random_map,
     random_series,
     square_germ,
@@ -181,6 +182,36 @@ def test_table_golden_digest(make_germ, max_beta, digest):
     table = build_t_operators(make_germ(), max_beta)
     dump = json.dumps(table_to_dict(table), sort_keys=True).encode()
     assert hashlib.sha256(dump).hexdigest() == digest
+
+
+def _assert_same_entries(table, oracle):
+    assert table.entries.keys() == oracle.keys()
+    for key, entry in oracle.items():
+        got = table.entries[key]
+        assert (got.trunc, got.coeffs) == (entry.trunc, entry.coeffs), key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("singular", [False, True])
+def test_table_matches_leibniz_rows(n, singular):
+    rng = random.Random(500 + 10 * n + singular)
+    for _ in range(2):
+        germ = random_map(rng, n, trunc=14 if n < 3 else 9, singular=singular,
+                          max_mu=2 if n < 3 else 1)
+        table = build_t_operators(germ, 3)
+        _assert_same_entries(
+            table, leibniz_table(germ, 3, table.work_degree))
+
+
+@pytest.mark.parametrize("exprs, variables", [
+    (["x"], ["x"]), (["x", "y"], ["x", "y"]), (["x + y", "y"], ["x", "y"]),
+])
+def test_table_matches_leibniz_rows_past_the_working_degree(exprs, variables):
+    # max_beta_degree 4 above work_degree 3: a z-exponent reaches 4, which
+    # the working degree's two bits cannot hold
+    germ = germ_of(exprs, variables, degree=4)
+    _assert_same_entries(build_t_operators(germ, 4, work_degree=3),
+                         leibniz_table(germ, 4, 3))
 
 
 def test_germ_truncation_must_cover_work_degree():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used there, every
 function, method and class the library defines is referenced by code the
-system runs (not only by tests), and floating point stays in radius.py."""
+system runs (not only by tests), every default of a private function is
+overridden by some call there, and floating point stays in radius.py."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,68 @@ def test_library_definitions_are_referenced():
                     and node.name not in referenced):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def _private_defaults(path):
+    """(name, parameter, position) for each defaulted parameter of a private
+    module-level function or method; position counts the positional
+    arguments a call passes (self or cls not included), None for a
+    keyword-only parameter."""
+    tree = ast.parse(path.read_text())
+    funcs = [(node, False) for node in tree.body
+             if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs.extend((node, True) for node in cls.body
+                     if isinstance(node, ast.FunctionDef))
+    for func, method in funcs:
+        if not func.name.startswith("_") or func.name.endswith("__"):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        bound = method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in func.decorator_list)
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield func.name, positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield func.name, arg.arg, None
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names) for each call; a
+    starred argument counts as every position, ** as every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        yield (name, float("inf") if starred else len(node.args),
+               keywords)
+
+
+def test_private_defaults_are_passed():
+    # a default no call in the library, the demos or the benchmark ever
+    # overrides is a dead option: the parameter and its branches can go
+    sources = sorted(SRC.glob("*.py"))
+    for folder in ("demos", "perfbench"):
+        sources.extend(sorted((ROOT / folder).rglob("*.py")))
+    calls = {}
+    for path in sources:
+        for name, count, keywords in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append((count, keywords))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, param, position in _private_defaults(path):
+            if not any(param in keywords or None in keywords
+                       or (position is not None and count > position)
+                       for count, keywords in calls.get(name, ())):
+                dead.append(f"{path.name} {name}({param}=...)")
+    assert dead == []
 
 
 _FLOAT_MATH = {"log", "exp", "sqrt", "pow"}

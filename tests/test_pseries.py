@@ -25,6 +25,7 @@ from germradius import (
 )
 from germradius.mindex import enumerate_upto, unit
 from germradius.pseries import (
+    _json_rational,
     _packed,
     _packed_derivative,
     _sum_of_products,
@@ -557,6 +558,25 @@ def test_series_literal_shape():
     assert d["terms"] == [{"index": [2], "coeff": "2"}]
     with pytest.raises(ValueError):
         series_from_dict({"n": 1, "center": ["0"]})
+
+
+def test_series_literal_rejects_a_repeated_index():
+    terms = [{"index": [1], "coeff": "2"}, {"index": [1], "coeff": "3"}]
+    with pytest.raises(ValueError, match=r"repeated index \[1\]"):
+        series_from_dict({"n": 1, "center": ["0"], "degree": 2,
+                          "terms": terms})
+
+
+@pytest.mark.parametrize("value", [0.5, 0.12345678901234567890, 2.0, True])
+def test_json_rational_rejects_floats_and_bools(value):
+    with pytest.raises(ValueError, match="not a rational"):
+        _json_rational(value)
+
+
+def test_json_rational_reads_ints_and_text():
+    assert _json_rational(3) == 3
+    assert _json_rational("-3/2") == Fraction(-3, 2)
+    assert _json_rational("0.5") == Fraction(1, 2)
 
 
 def test_eval_at_center():
