@@ -23,9 +23,17 @@ operator sum divided by it.  The rows take the same step with the gradient
 D_i R_beta + z_i · R_beta, from R_{e_j} = Σ_i z_i · adj[i][j];
 ``iter_t_levels`` splits each row into its entries, and ``iter_h_levels``
 takes the step on the sums Σ_alpha T[beta, alpha] · D^alpha f for one f,
-which recovery reads.  The recurrence is a construction device; the identity
-check over a monomial basis is the contract that certifies a table, and the
-build is deterministic, so recomputation is bit-identical.
+which recovery reads.  The build is deterministic, so recomputation is
+bit-identical.
+
+The recurrence is a construction device; the identity over the monomial
+basis g = (y - b)^kappa is the contract that certifies a table.
+``verify_identity_on_monomials`` checks it on the exponential instead, once
+per beta: with g = e^{w·(y - b)}, D^alpha (g ∘ germ) is a polynomial Q_alpha
+in w times g ∘ germ, so the identity divided by g ∘ germ reads
+E_beta = Σ_alpha T[beta, alpha] · Q_alpha - delta^(2|beta|-1) · w^beta = 0.
+Its coefficients in w give every monomial residual, so the records are
+exactly those of the monomials one by one, read from the stored entries.
 
 Entries at level m carry truncation work_degree - (m - 1): each level spends
 one derivative.  Construction is sequential in the level; finished tables
@@ -39,7 +47,8 @@ max(work_degree, max_beta_degree).bit_length() bits: a coordinate stays
 within the working degree and a marker reaches max_beta_degree.  delta, the
 adjugate entries and the contractions s_j are packed once per run; rows and
 sums stay packed from one level to the next and are unpacked once, when
-their level is yielded.
+their level is yielded.  The certificate's Q_alpha and E_beta hold w in the
+same marker fields.
 """
 
 from __future__ import annotations
@@ -112,9 +121,7 @@ class _LevelBuilder:
         self.delta = self._pack(delta)
         self.adj = [[self._pack(adj.entry(i, j)) for j in range(n)]
                     for i in range(n)]
-        # column contractions of the determinant gradient, reused at every level
-        grad = [self._grad(self.delta)]
-        self.s_cols = [self._contract(grad, j, work_degree) for j in range(n)]
+        self.s_cols = None  # built with the first level past one
 
     def _pack(self, series):
         """``series`` capped at the working degree: no product exceeds it."""
@@ -141,6 +148,12 @@ class _LevelBuilder:
                 level = {unit(self.n, j): self._contract([first], j, cap)
                          for j in range(self.n)}
             else:
+                if m == 2:
+                    # column contractions of the determinant gradient, reused
+                    # at every later level; level one needs no derivative
+                    grad = [self._grad(self.delta)]
+                    self.s_cols = [self._contract(grad, j, self.work_degree)
+                                   for j in range(self.n)]
                 parts = {beta: [self._grad(s), self._marked(s)]
                          for beta, s in level.items()}
                 level = {beta_new: self._step(level[beta], parts[beta], j,
@@ -158,6 +171,10 @@ class _LevelBuilder:
         return [(trunc - 1,
                  _packed_derivative(terms, i, self.fields, self.shift))
                 for i in range(self.n)]
+
+    def _marker(self, alpha):
+        """The key offset of z^alpha."""
+        return sum(a * z for a, z in zip(alpha, self.z))
 
     def _marked(self, series):
         """The parts z_i · series; none on the sums, which carry no markers."""
@@ -205,7 +222,7 @@ class _LevelBuilder:
         xbits = self.n * self.shift
         xmask = (1 << xbits) - 1
         zmask = xmask << xbits
-        alphas = [(alpha, sum(a * z for a, z in zip(alpha, self.z)))
+        alphas = [(alpha, self._marker(alpha))
                   for alpha in enumerate_upto(self.n, m)]
         out = {}
         for beta, (trunc, terms) in rows.items():
@@ -319,40 +336,90 @@ def verify_identity_on_monomials(table, g_degree):
     """Run the defining identity over every centred monomial g of degree
     <= g_degree, for every beta in the table.
 
-    Returns records (beta, kappa, residual_is_zero, checked_degree).  For
-    g = (y - b)^kappa, f is the deviation power P_kappa and D^beta g composes
-    to kappa!/(kappa - beta)! · P_{kappa - beta}; the powers, their
-    derivatives and the delta-power products are tabulated, not per record.
+    Returns records (beta, kappa, residual_is_zero, checked_degree), for
+    m = |beta| ascending, beta and then kappa in graded-lex order; record
+    (beta, kappa) is the identity's residual at g = (y - b)^kappa.  They are
+    read off one identity per beta on the exponential g = e^{w·(y - b)}, for
+    which D^alpha (g ∘ germ) = Q_alpha · (g ∘ germ) with Q_0 = 1 and
+    Q_{alpha + e_i} = D_i Q_alpha + (Σ_j w_j · D_i germ_j) · Q_alpha.  So
+
+        E_beta = Σ_alpha T[beta, alpha] · Q_alpha - delta^(2m-1) · w^beta
+
+    is that identity's residual divided by g ∘ germ, and its coefficient of
+    w^kappa / kappa! is minus the monomial residual
+
+        Σ_{lambda <= kappa} kappa!/(kappa - lambda)! · E_beta[lambda] · P_{kappa - lambda}
+
+    where P_kappa = (germ - b)^kappa.  When E_beta has no term with
+    |lambda| <= g_degree, every record of beta is zero; otherwise the powers
+    P_kappa are built and each record sums its terms.  Either way the records
+    are exactly the monomial ones, each checked to the lowest of
+    work_degree - m + 1, germ.trunc - m, the degree of delta^(2m-1) and those
+    of the stored entries T[beta, alpha].  The Q_alpha hold w in the row
+    builder's marker fields and are built once per call; E_beta takes one
+    packed product per stored entry.
     """
     germ = table.germ
     n = germ.n
     w = table.work_degree
-    devs = list(germ.deviations())
     kappas = enumerate_upto(n, g_degree)
-    powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, germ.trunc)}
-    for kappa in kappas:
-        _monomial_power(kappa, powers,
-                        lambda p, j: p.mul(devs[j], upto=germ.trunc))
+    builder = _LevelBuilder(n, germ.center, w, table.max_beta_degree,
+                            table.profile.delta, table.profile.adjugate,
+                            rows=True)
+    fields, shift = builder.fields, builder.shift
+    zmask = ((1 << n * shift) - 1) << n * shift
+    # Σ_j w_j · D_i germ_j for each i, then every Q_alpha from its parent
+    # alpha - e_i; Q_alpha is needed to degree work_degree + 1 - |alpha|
+    factors = [sorted((k + z, c) for comp, z in zip(germ.components, builder.z)
+                      for k, c in builder._pack(comp.derive(unit(n, i)))[1])
+               for i in range(n)]
     all_alphas = enumerate_upto(n, table.max_beta_degree)
-    derivs = {(kappa, alpha): powers[kappa].derive(alpha)
-                for kappa in kappas for alpha in all_alphas}
+    q = {(0,) * n: (w + 1, [(0, 1)])}
+    for alpha in all_alphas[1:]:
+        i = next(k for k, e in enumerate(alpha) if e)
+        trunc, terms = q[mi_sub(alpha, unit(n, i))]
+        acc = dict(_packed_derivative(terms, i, fields, shift))
+        _products_into(acc, factors[i], terms, trunc << fields * shift)
+        q[alpha] = trunc - 1, _sorted_terms(acc)
+    # E_beta's terms in w^lambda for the lambda a monomial record can read
+    lambdas = {builder._marker(lam): lam for lam in all_alphas
+               if sum(lam) <= g_degree}
+    devs = list(germ.deviations())
+    powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, w)}
+
+    def power(kappa):
+        return _monomial_power(kappa, powers,
+                               lambda p, j: p.mul(devs[j], upto=w))
+
     records = []
     for m in range(1, table.max_beta_degree + 1):
         cap = w - m + 1
-        dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)
-        scaled = {d: dpow.mul(powers[d], upto=cap)
-                  for d in kappas if sum(d) <= g_degree - m}
-        zero = TruncatedSeries.zero(n, germ.center, cap)
+        d_trunc, dpow = builder._pack(
+            _delta_power(table.profile.delta, 2 * m - 1, upto=cap))
         alphas = [alpha for alpha in all_alphas if sum(alpha) <= m]
         for beta in enumerate_degree(n, m):
+            entries = [table.entries[(beta, alpha)] for alpha in alphas]
+            t = min(cap, germ.trunc - m, d_trunc, *(e.trunc for e in entries))
+            limit = (t + 1) << fields * shift
+            acc = {}
+            for entry, alpha in zip(entries, alphas):
+                _products_into(acc, builder._pack(entry)[1], q[alpha][1], limit)
+            _products_into(acc, [(builder._marker(beta), -1)], dpow, limit)
+            split = {}
+            for k, c in acc.items():
+                zkey = k & zmask
+                lam = lambdas.get(zkey)
+                if c and lam is not None:
+                    split.setdefault(lam, []).append((k - zkey, c))
+            e_beta = {lam: builder._series(t, terms)
+                      for lam, terms in split.items()}
             for kappa in kappas:
-                down = mi_sub(kappa, beta)
-                lhs = zero if down is None else (
-                    scaled[down] * (mi_factorial(kappa) // mi_factorial(down)))
-                residual = lhs - _sum_of_products(
-                    ((table.entries[(beta, alpha)], derivs[(kappa, alpha)])
-                     for alpha in alphas), cap)
-                records.append((beta, kappa, residual.is_zero, residual.trunc))
+                pairs = [(e * (mi_factorial(kappa) // mi_factorial(down)),
+                          power(down))
+                         for lam, e in e_beta.items()
+                         if (down := mi_sub(kappa, lam)) is not None]
+                zero = not pairs or _sum_of_products(pairs, t).is_zero
+                records.append((beta, kappa, zero, t))
     return records
 
 

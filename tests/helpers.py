@@ -2,8 +2,9 @@
 the reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
 sum that tests check the H recurrence against, the row-by-row operator
-table that tests check the level builder against, and the identity series
-matrix."""
+table that tests check the level builder against, the monomial-by-monomial
+identity records that tests check the exponential certificate against, and
+the identity series matrix."""
 
 from fractions import Fraction
 
@@ -15,12 +16,15 @@ from germradius import (
     profile,
 )
 from germradius.cli import parse_expression, parse_polynomial
+from germradius.cramerops import _delta_power
 from germradius.mindex import (
     enumerate_degree,
     enumerate_upto,
+    mi_factorial,
     sub as mi_sub,
     unit,
 )
+from germradius.pseries import _monomial_power, _sum_of_products
 from germradius.polymap import Polynomial, PolynomialMap
 
 
@@ -153,6 +157,48 @@ def leibniz_table(germ, max_beta_degree, work_degree):
                 table[(beta_new, alpha)] = (
                     delta.mul(total) - (2 * m - 1) * s[j].mul(prev))
     return table
+
+
+def reference_monomial_records(table, g_degree):
+    """Run the defining identity over every centred monomial g of degree
+    <= g_degree, for every beta in the table, one (beta, kappa) record at a
+    time: the oracle for ``cramerops.verify_identity_on_monomials``.
+
+    Returns records (beta, kappa, residual_is_zero, checked_degree).  For
+    g = (y - b)^kappa, f is the deviation power P_kappa and D^beta g composes
+    to kappa!/(kappa - beta)! · P_{kappa - beta}; the powers, their
+    derivatives and the delta-power products are tabulated, not per record.
+    """
+    germ = table.germ
+    n = germ.n
+    w = table.work_degree
+    devs = list(germ.deviations())
+    kappas = enumerate_upto(n, g_degree)
+    powers = {(0,) * n: TruncatedSeries.constant(1, n, germ.center, germ.trunc)}
+    for kappa in kappas:
+        _monomial_power(kappa, powers,
+                        lambda p, j: p.mul(devs[j], upto=germ.trunc))
+    all_alphas = enumerate_upto(n, table.max_beta_degree)
+    derivs = {(kappa, alpha): powers[kappa].derive(alpha)
+                for kappa in kappas for alpha in all_alphas}
+    records = []
+    for m in range(1, table.max_beta_degree + 1):
+        cap = w - m + 1
+        dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)
+        scaled = {d: dpow.mul(powers[d], upto=cap)
+                  for d in kappas if sum(d) <= g_degree - m}
+        zero = TruncatedSeries.zero(n, germ.center, cap)
+        alphas = [alpha for alpha in all_alphas if sum(alpha) <= m]
+        for beta in enumerate_degree(n, m):
+            for kappa in kappas:
+                down = mi_sub(kappa, beta)
+                lhs = zero if down is None else (
+                    scaled[down] * (mi_factorial(kappa) // mi_factorial(down)))
+                residual = lhs - _sum_of_products(
+                    ((table.entries[(beta, alpha)], derivs[(kappa, alpha)])
+                     for alpha in alphas), cap)
+                records.append((beta, kappa, residual.is_zero, residual.trunc))
+    return records
 
 
 def random_series(rng, n, degree, center=None, span=4, density=0.7,

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from germradius import (
+    TOperatorTable,
     TruncatedSeries,
     TruncationError,
     build_t_operators,
@@ -28,6 +29,7 @@ from helpers import (
     leibniz_table,
     random_map,
     random_series,
+    reference_monomial_records,
     square_germ,
 )
 
@@ -110,6 +112,64 @@ def test_identity_on_monomials_matches_single_checks():
     rec = [ok for beta, kappa, ok, _ in records
            if beta == (1, 1) and kappa == (2, 1)]
     assert rec == [direct.is_zero]
+
+
+def _with_entry(table, key, entry):
+    entries = dict(table.entries)
+    entries[key] = entry
+    return TOperatorTable(table.germ, table.profile, table.max_beta_degree,
+                          table.work_degree, entries)
+
+
+def _differential_tables():
+    """(table, g_degree) pairs: seeded random maps in 1-3 dimensions, regular
+    and singular, the four fixtures and one g_degree below max_beta."""
+    rng = random.Random(16)
+    out = []
+    for n in (1, 2, 3):
+        for singular in (False, True):
+            germ = random_map(rng, n, trunc=16 if n < 3 else 9,
+                              singular=singular, max_mu=2 if n < 3 else 1)
+            out.append((build_t_operators(germ, 3 if n < 3 else 2), 4))
+    for germ in (identity_germ(2, degree=9), square_germ(degree=12),
+                 cube_germ(degree=18), blowup_germ(degree=12)):
+        out.append((build_t_operators(germ, 3, work_degree=germ.trunc - 1), 4))
+    out.append((build_t_operators(blowup_germ(degree=12), 3), 1))
+    return out
+
+
+def test_identity_on_monomials_matches_reference():
+    # the exponential certificate against the per-record loop, on right
+    # tables and on each table with one entry corrupted by a low-degree
+    # monomial, so that nonzero records and their degrees are compared too
+    rng = random.Random(61)
+    nonzero = 0
+    for table, g_degree in _differential_tables():
+        key = rng.choice(sorted(table.entries))
+        entry = table.entries[key]
+        gamma = rng.choice(enumerate_upto(entry.n, min(1, entry.trunc)))
+        bump = TruncatedSeries(entry.n, entry.center, entry.trunc,
+                               {gamma: rng.choice([-2, 1, 3])})
+        for t in (table, _with_entry(table, key, entry + bump)):
+            want = reference_monomial_records(t, g_degree)
+            assert verify_identity_on_monomials(t, g_degree) == want
+            nonzero += sum(not ok for _, _, ok, _ in want)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("make_germ, max_beta, g_degree, digest", [
+    (lambda: cube_germ(degree=18), 3, 5,
+     "5fa7cca972459ad5423f7ac2973400478e476363edf27464e65171ddf6526fca"),
+    (lambda: blowup_germ(degree=12), 3, 5,
+     "cebdc2a36b3baab12c1761bc2ba85385add8394f7dcc46a4c4f272e3983d63d7"),
+    (lambda: random_map(random.Random(41), 3, trunc=9, singular=True), 2, 3,
+     "e27c18779c5082ca09a8d6857713fd5b28e5788ecd31dda957c2b39fc6408ab6"),
+], ids=["cube", "blowup", "random3_singular"])
+def test_monomial_records_golden_digest(make_germ, max_beta, g_degree, digest):
+    # pins every (beta, kappa) record, its order and its checked degree
+    table = build_t_operators(make_germ(), max_beta)
+    records = verify_identity_on_monomials(table, g_degree)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 def test_cramer_base_random_maps():
@@ -212,6 +272,25 @@ def test_table_matches_leibniz_rows_past_the_working_degree(exprs, variables):
     germ = germ_of(exprs, variables, degree=4)
     _assert_same_entries(build_t_operators(germ, 4, work_degree=3),
                          leibniz_table(germ, 4, 3))
+
+
+def test_level_one_at_working_degree_zero():
+    # level one is the adjugate and takes no derivative of delta
+    germ = germ_of(["x"], ["x"], degree=1)
+    table = build_t_operators(germ, 1, work_degree=0)
+    entry = table.entry((1,), (1,))
+    assert (entry.trunc, entry.coeffs) == (0, {(0,): 1})
+    table = build_t_operators(
+        germ_of(["x + 2*y", "3*x + y"], ["x", "y"], degree=1), 1,
+        work_degree=0)
+    adj = table.profile.adjugate
+    for i in range(2):
+        for j in range(2):
+            entry = table.entry(unit(2, j), unit(2, i))
+            assert entry.trunc == 0
+            assert entry.coeffs == adj.entry(i, j).truncated(0).coeffs
+    with pytest.raises(TruncationError, match="exhausted at level 2"):
+        build_t_operators(germ, 2, work_degree=0)
 
 
 def test_germ_truncation_must_cover_work_degree():
