@@ -6,6 +6,8 @@ constant [1] (empty-minor convention), which forces the adjugate vanishing
 order to 0 in one variable and thereby pins the scaling exponent of the
 one-variable fixtures.  The determinant is the first-row Laplace sum
 Σ_j J[0][j] · adj[j][0] over the cofactors the adjugate already holds.
+One helper reads (mu, alpha, nu) off the coefficients of the determinant
+and the adjugate entries; ``radius.stratify`` reads its grid points with it.
 
 A profile is only meaningful relative to the truncation degree it was
 computed at; it records that degree and callers must not read more into it.
@@ -141,6 +143,27 @@ class JacobianProfile:
     computed_at_degree: int
 
 
+def _invariants(delta, adj, top):
+    """(mu, alpha, nu) from the coefficient dict of the determinant and an
+    iterable of the adjugate entries' dicts about one point, reading terms
+    of degree <= ``top``; None when the determinant has none (the point is
+    singular).
+
+    alpha is the determinant's graded-lex-smallest index and mu = |alpha|.
+    nu is the smallest order among the adjugate entries, read only when
+    mu > 0: at mu = 0 the adjugate delta * J^-1 is invertible at the point,
+    so nu = 0.  A determinant term of degree <= top is a sum of products
+    with adjugate terms of degree <= top, so nu needs no cut at ``top``.
+    """
+    if not delta:
+        return None
+    alpha = min(delta, key=grlex_key)
+    mu = sum(alpha)
+    if mu > top:
+        return None
+    return mu, alpha, min(sum(g) for entry in adj for g in entry) if mu else 0
+
+
 def profile(germ):
     """Vanishing invariants of the Jacobian determinant at the germ's centre.
 
@@ -154,12 +177,12 @@ def profile(germ):
     k = jac.size
     delta = (jac.entry(0, 0) if k == 1 else _sum_of_products(
         (jac.entry(0, j), adj.entry(j, 0)) for j in range(k)))
-    if delta.is_zero:
+    found = _invariants(delta.coeffs,
+                        (e.coeffs for row in adj.rows for e in row), delta.trunc)
+    if found is None:
         raise SingularJacobianError(
             f"Jacobian determinant vanishes identically to degree {delta.trunc}")
-    alpha = min(delta.coeffs, key=grlex_key)
-    mu = sum(alpha)
-    nu = min(e.order_at_center() for row in adj.rows for e in row)
+    mu, alpha, nu = found
     d_alpha = as_exact(mi_factorial(alpha) * delta.coeffs[alpha])
     return JacobianProfile(
         delta=delta, adjugate=adj, mu=mu, nu=nu, alpha=alpha,

@@ -4,8 +4,9 @@ These are the parser targets and the germ factories.  Validation, sums and
 scalar multiples come from ``pseries``; this module adds the product, powers,
 the degree and the Taylor shift: a polynomial knows all of its coefficients,
 so it can be re-expanded exactly about any rational centre and materialized
-as a truncated series of any degree.  Grid sweeps recentre through here,
-never by numeric shifting.
+as a truncated series of any degree.  Grid sweeps shift the map's
+Jacobian determinant and adjugate polynomials through here, never
+numerically.
 """
 
 from __future__ import annotations

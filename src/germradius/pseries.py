@@ -35,6 +35,7 @@ object and instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -549,12 +550,21 @@ def series_to_dict(series):
     }
 
 
+# plain ASCII integer text; Fraction also reads '+3', ' 3', '1_0' and
+# non-ASCII digits, so those keep its route
+_INT_TEXT = re.compile(r"-?[0-9]+\Z")
+
+
 def _json_rational(value):
     """An exact rational from a JSON int or text such as '-3/2'; a bool, a
     float, a zero denominator or unreadable text is a ValueError.  A float
-    is refused because its repr can drop digits the file spells."""
+    is refused because its repr can drop digits the file spells.  Plain
+    integer text goes straight to ``int``, with the same value and the same
+    refusals as the ``Fraction`` route."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, str) and _INT_TEXT.match(value):
+        return int(value)
     try:
         return as_exact(value if isinstance(value, int) else str(value))
     except ZeroDivisionError as exc:

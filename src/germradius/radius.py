@@ -1,6 +1,10 @@
 """Convergence-radius estimation from coefficient tables, scaling-law fits,
 and exact stratification of polynomial maps by their vanishing invariants.
 
+Stratification builds the map's Jacobian determinant and adjugate entries,
+which are polynomials, once per call, and reads every grid point off their
+exact Taylor shifts to that point.
+
 This is the only module where floating point appears; everything upstream is
 exact.  Shell values are computed from exact coefficient magnitudes through
 base-2 logarithms (Python's log2 takes arbitrarily large ints), so magnitudes
@@ -18,8 +22,10 @@ from .errors import (
     DegenerateFamilyError,
     InsufficientShellsError,
     SingularJacobianError,
+    TruncationError,
 )
-from .jacobian import profile
+from .jacobian import _invariants, profile
+from .polymap import Polynomial
 from .pseries import as_exact, rational_str
 
 _FLOAT_NOTE = "float64 shell values from exact magnitudes via base-2 logarithms"
@@ -144,25 +150,43 @@ def stratify(pmap, grid, degree=None):
     """Exact profile at every grid point of a polynomial map, grouped by
     (mu, nu) and ordered by decreasing mu (the sampled coarse filtration).
 
-    Recentring is exact polynomial re-expansion; the default degree decides
-    every vanishing order exactly from the map's degree bound.  Points where
-    the determinant vanishes identically are reported separately, never
-    silently dropped.
+    The Jacobian determinant and the adjugate entries of a polynomial map
+    are polynomials.  They are built once, from the profile at the origin at
+    the map's default degree, whose degree bound cuts no term off.  Each
+    grid point then shifts them exactly to the point and reads the terms of
+    degree < ``degree``: the coefficients a germ of that truncation degree
+    gives there.  The default degree decides every vanishing order exactly.
+    Points where the determinant vanishes identically (every point, when
+    it is the zero polynomial) are reported separately, never silently
+    dropped.
     """
     if degree is None:
         degree = pmap.default_profile_degree()
+    if degree < 1:
+        raise TruncationError(
+            "need truncation degree >= 1 to differentiate the map",
+            needed_degree=1)
+    n = pmap.n
+    try:
+        prof = profile(pmap.germ_at((0,) * n, pmap.default_profile_degree()))
+    except SingularJacobianError:
+        delta, adj = Polynomial(n), []
+    else:
+        delta = Polynomial(n, prof.delta.coeffs)
+        adj = [Polynomial(n, e.coeffs)
+               for row in prof.adjugate.rows for e in row]
     buckets = {}
     singular = []
     for raw_point in grid:
         point = tuple(as_exact(p) for p in raw_point)
-        germ = pmap.germ_at(point, degree)
-        try:
-            prof = profile(germ)
-        except SingularJacobianError:
+        found = _invariants(delta.shifted_coeffs(point),
+                            (e.shifted_coeffs(point) for e in adj), degree - 1)
+        if found is None:
             singular.append(point)
             continue
-        buckets.setdefault((prof.mu, prof.nu), []).append(
-            StratumSample(point=point, mu=prof.mu, nu=prof.nu, alpha=prof.alpha))
+        mu, alpha, nu = found
+        buckets.setdefault((mu, nu), []).append(
+            StratumSample(point=point, mu=mu, nu=nu, alpha=alpha))
     groups = []
     for mu, nu in sorted(buckets, key=lambda k: (-k[0], -k[1])):
         samples = buckets[(mu, nu)]

@@ -3,7 +3,8 @@ the reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
 sum that tests check the H recurrence against, the row-by-row operator
 table that tests check the level builder against, the monomial-by-monomial
-identity records that tests check the exponential certificate against, and
+identity records that tests check the exponential certificate against, the
+point-by-point stratification that tests check ``stratify`` against, and
 the identity series matrix."""
 
 from fractions import Fraction
@@ -24,8 +25,9 @@ from germradius.mindex import (
     sub as mi_sub,
     unit,
 )
-from germradius.pseries import _monomial_power, _sum_of_products
+from germradius.pseries import _monomial_power, _sum_of_products, as_exact
 from germradius.polymap import Polynomial, PolynomialMap
+from germradius.radius import Stratification, StratumGroup, StratumSample
 
 
 def series_of(expr, variables, center=None, degree=None):
@@ -199,6 +201,34 @@ def reference_monomial_records(table, g_degree):
                      for alpha in alphas), cap)
                 records.append((beta, kappa, residual.is_zero, residual.trunc))
     return records
+
+
+def reference_stratify(pmap, grid, degree=None):
+    """Stratification from a fresh germ and a full profile at every grid
+    point: the oracle for ``stratify``, which reads every point off the
+    determinant and adjugate polynomials it builds once."""
+    if degree is None:
+        degree = pmap.default_profile_degree()
+    buckets = {}
+    singular = []
+    for raw_point in grid:
+        point = tuple(as_exact(p) for p in raw_point)
+        try:
+            prof = profile(pmap.germ_at(point, degree))
+        except SingularJacobianError:
+            singular.append(point)
+            continue
+        buckets.setdefault((prof.mu, prof.nu), []).append(
+            StratumSample(point=point, mu=prof.mu, nu=prof.nu, alpha=prof.alpha))
+    groups = []
+    for mu, nu in sorted(buckets, key=lambda k: (-k[0], -k[1])):
+        samples = buckets[(mu, nu)]
+        alpha = samples[0].alpha
+        if any(s.alpha != alpha for s in samples):
+            alpha = None
+        groups.append(StratumGroup(mu=mu, nu=nu, alpha=alpha, samples=samples))
+    return Stratification(
+        groups=groups, singular=singular, computed_at_degree=degree)
 
 
 def random_series(rng, n, degree, center=None, span=4, density=0.7,

@@ -140,6 +140,13 @@ def test_profile_power_maps(k):
     assert p.d_alpha_delta == __import__("math").factorial(k - 1) * k
 
 
+def test_profile_coordinate_squares_have_positive_nu():
+    # delta = 8xyz; every adjugate entry is 0 or 4 times a product of two
+    # coordinates, so nu = 2 and lambda = 3 - 2 + 1
+    p = profile(germ_of(["x^2", "y^2", "z^2"], ["x", "y", "z"], degree=5))
+    assert (p.mu, p.nu, p.alpha, p.d_alpha_delta, p.lam) == (3, 2, (1, 1, 1), 8, 2)
+
+
 def test_profile_invariants_on_random_maps():
     rng = random.Random(31)
     for n in (1, 2, 3):

@@ -26,6 +26,7 @@ from germradius import (
 from germradius.mindex import enumerate_upto, unit
 from germradius.pseries import (
     _json_rational,
+    as_exact,
     _packed,
     _packed_derivative,
     _sum_of_products,
@@ -577,6 +578,25 @@ def test_json_rational_reads_ints_and_text():
     assert _json_rational(3) == 3
     assert _json_rational("-3/2") == Fraction(-3, 2)
     assert _json_rational("0.5") == Fraction(1, 2)
+
+
+def _read_or_error(read, text):
+    try:
+        value = read(text)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", " 3", "+3", "\u0663", "3\n", "3 ", "-0", "007", "-007", "3/2",
+    "-6/4", "3/0", "1e3", "0x10", "", "-", "--3", "\u00b2", "\uff13",
+    "-12345678901234567890", pytest.param("1" * 5000, id="5000-digits")])
+def test_json_rational_text_reads_as_fraction_does(text):
+    # integer text skips Fraction; it must give the same value (an int),
+    # and refuse what Fraction refuses (5000 digits pass int's limit)
+    assert (_read_or_error(_json_rational, text)
+            == _read_or_error(lambda t: as_exact(Fraction(t)), text))
 
 
 def test_eval_at_center():

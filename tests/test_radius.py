@@ -1,14 +1,19 @@
 """Root-test radius estimation, scaling fits, bound reports, stratification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from germradius import (
     DegenerateFamilyError,
+    DimensionMismatch,
     InsufficientShellsError,
+    Polynomial,
+    PolynomialMap,
     TruncatedSeries,
+    TruncationError,
     bound_report,
     compose,
     estimate_radius,
@@ -18,7 +23,14 @@ from germradius import (
     stratification_to_csv,
     stratify,
 )
-from helpers import germ_of, pmap_of, series_of, square_germ
+from helpers import (
+    germ_of,
+    pmap_of,
+    random_map,
+    reference_stratify,
+    series_of,
+    square_germ,
+)
 
 
 def geometric(radius, degree, n=1, center=None):
@@ -163,6 +175,82 @@ def test_stratify_deterministic():
     s1 = stratify(pmap, grid)
     s2 = stratify(pmap, grid)
     assert stratification_to_csv(s1) == stratification_to_csv(s2)
+
+
+def _strata_view(strat):
+    return ([(g.mu, g.nu, g.alpha,
+              [(s.point, s.mu, s.nu, s.alpha) for s in g.samples])
+             for g in strat.groups],
+            strat.singular, strat.computed_at_degree)
+
+
+def _seeded_pmap(seed, n, singular):
+    # the truncation is the polynomial degree: the germ at the origin holds
+    # every coefficient of the map (cubics in 3-D made the reference slow)
+    deg = 2 if n == 3 else 3
+    germ = random_map(random.Random(seed), n, deg, deg=deg, singular=singular)
+    return PolynomialMap([Polynomial(n, c.coeffs) for c in germ.components])
+
+
+_HALF = Fraction(1, 2)
+_THIRD = Fraction(1, 3)
+_STRATIFY_CASES = [
+    pytest.param(_seeded_pmap(seed, n, sg),
+                 id=f"seeded-{n}d-{'singular' if sg else 'regular'}-{seed}")
+    for n in (1, 2, 3) for sg in (False, True) for seed in (0, 1)
+] + [
+    pytest.param(pmap_of(exprs, ["x", "y", "z"][:len(exprs)]),
+                 id=",".join(exprs))
+    for exprs in (["x", "x"], ["x*y", "x*y"], ["x^2*y", "x*y^2"], ["x^3"],
+                  ["x^2", "y^2", "z^2"], ["x", "(x - 1/2)*y"],
+                  ["x", "y", "(x - 1/3)*z + 2*x"])
+]
+
+
+@pytest.mark.parametrize("pmap", _STRATIFY_CASES)
+def test_stratify_matches_per_point_profiles(pmap):
+    # every grid holds the origin, where the seeded singular maps and the
+    # monomial maps are singular, and the zeros x = 1/2 (in 1-D and 2-D)
+    # and x = 1/3 of the two off-centre maps' determinants
+    axis = {1: (-1, 0, _THIRD, _HALF, 1), 2: (-1, 0, _THIRD, _HALF),
+            3: (0, _THIRD)}[pmap.n]
+    grid = [()]
+    for _ in range(pmap.n):
+        grid = [p + (a,) for p in grid for a in axis]
+    for degree in [None] + list(range(1, pmap.default_profile_degree() + 2)):
+        strat = stratify(pmap, grid, degree=degree)
+        ref = reference_stratify(pmap, grid, degree=degree)
+        assert _strata_view(strat) == _strata_view(ref), degree
+        assert (stratification_to_csv(strat).encode()
+                == stratification_to_csv(ref).encode())
+
+
+def test_stratify_coordinate_squares_by_zero_coordinates():
+    # delta = 8xyz: at a point with k zero coordinates mu = k, and the
+    # adjugate entries 4yz, 4xz, 4xy have order k - 1 there (0 when k = 0)
+    pmap = pmap_of(["x^2", "y^2", "z^2"], ["x", "y", "z"])
+    grid = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    strat = stratify(pmap, grid)
+    assert [(g.mu, g.nu, len(g.samples)) for g in strat.groups] == [
+        (3, 2, 1), (2, 1, 3), (1, 0, 3), (0, 0, 1)]
+    assert strat.groups[0].alpha == (1, 1, 1)
+    assert strat.groups[1].alpha is None  # (1, 1, 0), (1, 0, 1), (0, 1, 1)
+    assert strat.singular == []
+
+
+def test_stratify_wrong_length_point_on_singular_map():
+    # (x, x) is singular everywhere, yet a point of the wrong length is
+    # still a dimension error
+    pmap = pmap_of(["x", "x"], ["x", "y"])
+    with pytest.raises(DimensionMismatch):
+        stratify(pmap, [(0, 0), (1,)])
+
+
+def test_stratify_degree_zero_is_truncation_error():
+    pmap = pmap_of(["x", "x*y"], ["x", "y"])
+    with pytest.raises(TruncationError) as info:
+        stratify(pmap, [(0, 0), (1, 1)], degree=0)
+    assert info.value.needed_degree == 1
 
 
 def test_csv_shapes():
