@@ -40,12 +40,6 @@ class Polynomial:
     def constant(cls, n, value):
         return cls(n, {(0,) * n: value})
 
-    @classmethod
-    def variable(cls, n, i):
-        if not 0 <= i < n:
-            raise DimensionMismatch(f"variable index {i} out of range for n={n}")
-        return cls(n, {tuple(1 if k == i else 0 for k in range(n)): 1})
-
     def degree(self):
         """Total degree; 0 for the zero polynomial."""
         if not self.coeffs:

@@ -22,9 +22,9 @@ coordinate, the first coordinate lowest, and the total degree in the top
 field.  The exponent of a product term is then one integer addition, and
 a term pair lies within the cap exactly when its key sum is below
 (t + 1) << n·shift.  Packed operands are sorted by key, so the one pair
-loop, ``_products_into``, breaks at the cap.  ``mul``, ``_sum_of_products``
-and ``compose`` all run on it: each packs its operands once, sums every
-product in packed keys and unpacks once.  Terms above the cap are dropped
+loop, ``_products_into``, breaks at the cap.  ``mul``, ``_sum_of_products``,
+``compose`` and the CLI's expression expansion all run on it: each packs
+its operands once, sums every product in packed keys and unpacks once.  Terms above the cap are dropped
 before packing; they cannot reach the product, and their coordinates
 could overflow into the next field.
 

@@ -1,5 +1,6 @@
 """Shared fixture builders (parsed germs, seeded random series and maps),
-the reference product and composition that tests check
+the atom-by-atom expression parser that tests check ``parse_expression``
+against, the reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
 sum that tests check the H recurrence against, the row-by-row operator
 table that tests check the level builder against, the monomial-by-monomial
@@ -11,12 +12,13 @@ from fractions import Fraction
 
 from germradius import (
     MapGerm,
+    ParseError,
     SeriesMatrix,
     SingularJacobianError,
     TruncatedSeries,
     profile,
 )
-from germradius.cli import parse_expression, parse_polynomial
+from germradius.cli import _tokenize, parse_expression, parse_polynomial
 from germradius.cramerops import _delta_power
 from germradius.mindex import (
     enumerate_degree,
@@ -61,6 +63,102 @@ def cube_germ(degree=16, center=None):
 
 def blowup_germ(degree=8, center=None):
     return germ_of(["x", "x*y"], ["x", "y"], center=center, degree=degree)
+
+
+class _ReferenceParser:
+    """Recursive descent that multiplies ``Polynomial`` values atom by atom."""
+
+    def __init__(self, text, variables):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.variables = {name: k for k, name in enumerate(variables)}
+        self.n = len(variables)
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        poly = self.expr()
+        kind, text, pos = self.take()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        return poly
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind = self.peek()
+            if kind == "+":
+                self.take()
+                node = node + self.term()
+            elif kind == "-":
+                self.take()
+                node = node - self.term()
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek() in ("*", "/"):
+            op, _, pos = self.take()
+            rhs = self.factor()
+            if op == "*":
+                node = node * rhs
+                continue
+            divisor = rhs.coeffs.get((0,) * self.n)
+            if divisor is None or len(rhs.coeffs) != 1:
+                raise ParseError("divisor must be a nonzero constant", pos)
+            # through the constructor, so a whole quotient is stored as an int
+            node = Polynomial(self.n, {g: Fraction(c) / divisor
+                                       for g, c in node.coeffs.items()})
+        return node
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            kind, text, pos = self.take()
+            if kind != "number":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            return base ** int(text)
+        return base
+
+    def atom(self):
+        kind, text, pos = self.take()
+        if kind == "number":
+            return Polynomial.constant(self.n, int(text))
+        if kind == "name":
+            if text not in self.variables:
+                raise ParseError(f"unknown variable {text!r}", pos)
+            return Polynomial(self.n, {unit(self.n, self.variables[text]): 1})
+        if kind == "(":
+            node = self.expr()
+            self.take(")")
+            return node
+        raise ParseError(
+            f"expected a number, variable or '(', found "
+            f"{text or 'end of input'!r}", pos)
+
+
+def reference_parse_expression(text, variables):
+    """``parse_expression`` as it was before the tree: every atom is a
+    ``Polynomial`` and every operator one ``Polynomial`` operation."""
+    return _ReferenceParser(text, list(variables)).parse()
 
 
 def reference_mul(a, b, upto=None):

@@ -168,7 +168,7 @@ def _evaluate(node):
     if kind == "int":
         return Polynomial.constant(2, node[1])
     if kind == "var":
-        return Polynomial.variable(2, node[1])
+        return Polynomial(2, {tuple(int(k == node[1]) for k in range(2)): 1})
     if kind == "neg":
         return -_evaluate(node[1])
     if kind == "pow":
