@@ -14,7 +14,9 @@ expanded once in packed keys wide enough for d, through the product kernel
 A divisor is expanded where it is read, so it is checked in text order.
 Before a product or power is formed, its term count is bounded by
 min(t_a·t_b or comb(t - 1 + k, k), comb(n + d, n)); a bound over
-``_MAX_TERMS`` is a ParseError at the operator, so a hostile power fails at
+``_MAX_TERMS`` is a ParseError at the operator.  A power's coefficient bits
+are bounded too, by k·(⌈log2 Σ|num|⌉ + ⌈log2 den⌉) over its base; a bound
+over ``_MAX_BITS`` is a ParseError at the '^'.  So a hostile power fails at
 once instead of expanding.
 
 Exit codes: 0 success, 1 domain error (singular Jacobian, insufficient
@@ -103,8 +105,14 @@ def _tokenize(text):
 # The most terms one product or power may expand to; a larger bound is
 # refused before any product is formed.  The largest dense powers it admits,
 # (1 + x)^999 and (1/3 + 2/7*x)^999, expand in 0.18 s and 1.7 s (Python 3.11
-# on 2 shared cores); coefficient size is not bounded.
+# on 2 shared cores).
 _MAX_TERMS = 1000
+
+# The largest coefficient-bit bound a power may have: (1/3 + 2/7*x)^999
+# above bounds at 8991 bits and is admitted; (123456789/987654321 +
+# 2/7*x)^999, which took 53 s, bounds at 58941 and 2^1000000000 at 10^9, and
+# both are refused.
+_MAX_BITS = 10000
 
 
 def _comb_exceeds(a, b):
@@ -304,6 +312,14 @@ class _Expansion:
         if not terms or k == 1:  # no product to form
             return terms, den
         self.check_budget(_comb_exceeds(len(terms) - 1 + k, k), degree, pos)
+        # (m - 1).bit_length() is ceil(log2 m); the result's numerators are
+        # at most (sum |num|)^k and its denominator den^k
+        bits = k * ((sum(map(abs, terms.values())) - 1).bit_length()
+                    + (den - 1).bit_length())
+        if bits > _MAX_BITS:
+            raise ParseError(
+                f"power would exceed the limit of {_MAX_BITS} coefficient bits",
+                pos)
         base = sorted(terms.items())
         result = None
         den **= k

@@ -3,7 +3,7 @@ and exact stratification of polynomial maps by their vanishing invariants.
 
 Stratification builds the map's Jacobian determinant and adjugate entries,
 which are polynomials, once per call, and reads every grid point off their
-exact Taylor shifts to that point.
+exact Taylor shifts to that point, cut at the degree the invariants read.
 
 This is the only module where floating point appears; everything upstream is
 exact.  Shell values are computed from exact coefficient magnitudes through
@@ -25,8 +25,8 @@ from .errors import (
     TruncationError,
 )
 from .jacobian import _invariants, profile
-from .polymap import Polynomial
-from .pseries import as_exact, rational_str
+from .polymap import _exact_point, _shifted
+from .pseries import rational_str
 
 _FLOAT_NOTE = "float64 shell values from exact magnitudes via base-2 logarithms"
 
@@ -153,12 +153,12 @@ def stratify(pmap, grid, degree=None):
     The Jacobian determinant and the adjugate entries of a polynomial map
     are polynomials.  They are built once, from the profile at the origin at
     the map's default degree, whose degree bound cuts no term off.  Each
-    grid point then shifts them exactly to the point and reads the terms of
-    degree < ``degree``: the coefficients a germ of that truncation degree
-    gives there.  The default degree decides every vanishing order exactly.
-    Points where the determinant vanishes identically (every point, when
-    it is the zero polynomial) are reported separately, never silently
-    dropped.
+    grid point then shifts them exactly to the point, forming only the terms
+    of degree < ``degree``: the coefficients a germ of that truncation
+    degree gives there, and all that the invariants read.  The default
+    degree decides every vanishing order exactly.  Points where the
+    determinant vanishes identically (every point, when it is the zero
+    polynomial) are reported separately, never silently dropped.
     """
     if degree is None:
         degree = pmap.default_profile_degree()
@@ -170,17 +170,17 @@ def stratify(pmap, grid, degree=None):
     try:
         prof = profile(pmap.germ_at((0,) * n, pmap.default_profile_degree()))
     except SingularJacobianError:
-        delta, adj = Polynomial(n), []
+        delta, adj = {}, []
     else:
-        delta = Polynomial(n, prof.delta.coeffs)
-        adj = [Polynomial(n, e.coeffs)
-               for row in prof.adjugate.rows for e in row]
+        delta = prof.delta.coeffs
+        adj = [e.coeffs for row in prof.adjugate.rows for e in row]
+    top = degree - 1
     buckets = {}
     singular = []
     for raw_point in grid:
-        point = tuple(as_exact(p) for p in raw_point)
-        found = _invariants(delta.shifted_coeffs(point),
-                            (e.shifted_coeffs(point) for e in adj), degree - 1)
+        point = _exact_point(raw_point, n)
+        found = _invariants(_shifted(delta, point, top),
+                            (_shifted(e, point, top) for e in adj), top)
         if found is None:
             singular.append(point)
             continue

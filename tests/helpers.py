@@ -1,6 +1,7 @@
 """Shared fixture builders (parsed germs, seeded random series and maps),
-the atom-by-atom expression parser that tests check ``parse_expression``
-against, the reference product and composition that tests check
+the exponent-dict sum, product and power, the atom-by-atom expression
+parser built on them that tests check ``parse_expression`` against, the
+reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
 sum that tests check the H recurrence against, the row-by-row operator
 table that tests check the level builder against, the monomial-by-monomial
@@ -65,8 +66,50 @@ def blowup_germ(degree=8, center=None):
     return germ_of(["x", "x*y"], ["x", "y"], center=center, degree=degree)
 
 
+def dict_add(a, b, sign=1):
+    """``a + sign * b`` on exponent dicts, dropping the zeros the sum makes."""
+    out = dict(a)
+    for g, c in b.items():
+        s = out.get(g, 0) + sign * c
+        if s:
+            out[g] = s
+        elif g in out:
+            del out[g]
+    return out
+
+
+def dict_mul(a, b, upto=None):
+    """Product of two exponent dicts, term pair by term pair; with ``upto``,
+    pairs landing above that degree are skipped."""
+    out = {}
+    for ga, ca in a.items():
+        for gb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ga, gb))
+            if upto is not None and sum(key) > upto:
+                continue
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def dict_pow(a, k, n):
+    """``a`` to the power ``k`` by squaring and multiplying, so a huge
+    exponent costs O(log k) products."""
+    result = {(0,) * n: 1}
+    while k:
+        if k & 1:
+            result = dict_mul(result, a)
+        k >>= 1
+        if k:
+            a = dict_mul(a, a)
+    return result
+
+
 class _ReferenceParser:
-    """Recursive descent that multiplies ``Polynomial`` values atom by atom."""
+    """Recursive descent that multiplies exponent dicts atom by atom."""
 
     def __init__(self, text, variables):
         self.tokens = _tokenize(text)
@@ -87,11 +130,12 @@ class _ReferenceParser:
         return tok
 
     def parse(self):
-        poly = self.expr()
+        coeffs = self.expr()
         kind, text, pos = self.take()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
-        return poly
+        # through the constructor, so a whole coefficient is stored as an int
+        return Polynomial(self.n, coeffs)
 
     def expr(self):
         node = self.term()
@@ -99,10 +143,10 @@ class _ReferenceParser:
             kind = self.peek()
             if kind == "+":
                 self.take()
-                node = node + self.term()
+                node = dict_add(node, self.term())
             elif kind == "-":
                 self.take()
-                node = node - self.term()
+                node = dict_add(node, self.term(), -1)
             else:
                 return node
 
@@ -112,20 +156,18 @@ class _ReferenceParser:
             op, _, pos = self.take()
             rhs = self.factor()
             if op == "*":
-                node = node * rhs
+                node = dict_mul(node, rhs)
                 continue
-            divisor = rhs.coeffs.get((0,) * self.n)
-            if divisor is None or len(rhs.coeffs) != 1:
+            divisor = rhs.get((0,) * self.n)
+            if divisor is None or len(rhs) != 1:
                 raise ParseError("divisor must be a nonzero constant", pos)
-            # through the constructor, so a whole quotient is stored as an int
-            node = Polynomial(self.n, {g: Fraction(c) / divisor
-                                       for g, c in node.coeffs.items()})
+            node = {g: Fraction(c) / divisor for g, c in node.items()}
         return node
 
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            return {g: -c for g, c in self.factor().items()}
         return self.power()
 
     def power(self):
@@ -135,17 +177,18 @@ class _ReferenceParser:
             kind, text, pos = self.take()
             if kind != "number":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            return base ** int(text)
+            return dict_pow(base, int(text), self.n)
         return base
 
     def atom(self):
         kind, text, pos = self.take()
         if kind == "number":
-            return Polynomial.constant(self.n, int(text))
+            value = int(text)
+            return {(0,) * self.n: value} if value else {}
         if kind == "name":
             if text not in self.variables:
                 raise ParseError(f"unknown variable {text!r}", pos)
-            return Polynomial(self.n, {unit(self.n, self.variables[text]): 1})
+            return {unit(self.n, self.variables[text]): 1}
         if kind == "(":
             node = self.expr()
             self.take(")")
@@ -156,8 +199,8 @@ class _ReferenceParser:
 
 
 def reference_parse_expression(text, variables):
-    """``parse_expression`` as it was before the tree: every atom is a
-    ``Polynomial`` and every operator one ``Polynomial`` operation."""
+    """``parse_expression`` as it was before the tree: every atom is an
+    exponent dict and every operator one dict operation."""
     return _ReferenceParser(text, list(variables)).parse()
 
 
@@ -167,18 +210,7 @@ def reference_mul(a, b, upto=None):
     t = min(a.trunc, b.trunc)
     if upto is not None:
         t = min(t, upto)
-    out = {}
-    for ga, ca in a.coeffs.items():
-        for gb, cb in b.coeffs.items():
-            key = tuple(x + y for x, y in zip(ga, gb))
-            if sum(key) > t:
-                continue
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return TruncatedSeries(a.n, a.center, t, out)
+    return TruncatedSeries(a.n, a.center, t, dict_mul(a.coeffs, b.coeffs, t))
 
 
 def reference_compose(g, germ):

@@ -1,6 +1,7 @@
 """Expression grammar, job files, command runs, exit codes, determinism."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from germradius.cli import (
     run_job,
 )
 from germradius.polymap import Polynomial
-from helpers import series_of
+from helpers import dict_add, dict_mul, dict_pow, series_of
 
 
 # -- expression grammar -------------------------------------------------------
@@ -39,21 +40,13 @@ def test_parse_square_expansion():
     s = parse_polynomial("(x+y)^2", ["x", "y"])
     # expansion oracle: multiply the parsed linear form by itself
     lin = parse_expression("x+y", ["x", "y"])
-    assert s.coeffs == (lin * lin).coeffs
+    assert s.coeffs == dict_mul(lin.coeffs, lin.coeffs)
     assert s.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 def test_parse_huge_exponent_is_one_monomial():
     assert parse_expression("x^1000000000", ["x"]) == Polynomial(
         1, {(1000000000,): 1})
-
-
-def test_power_matches_repeated_products():
-    base = parse_expression("1 + x", ["x"])
-    want = Polynomial.constant(1, 1)
-    for k in range(10):
-        assert base ** k == want
-        want = want * base
 
 
 def test_parse_unary_minus_and_parens():
@@ -164,23 +157,24 @@ def _render(node):
 
 
 def _evaluate(node):
+    """The tree's value as an exponent dict in x, y."""
     kind = node[0]
     if kind == "int":
-        return Polynomial.constant(2, node[1])
+        return {(0, 0): node[1]} if node[1] else {}
     if kind == "var":
-        return Polynomial(2, {tuple(int(k == node[1]) for k in range(2)): 1})
+        return {tuple(int(k == node[1]) for k in range(2)): 1}
     if kind == "neg":
-        return -_evaluate(node[1])
+        return {g: -c for g, c in _evaluate(node[1]).items()}
     if kind == "pow":
-        return _evaluate(node[1]) ** node[2]
+        return dict_pow(_evaluate(node[1]), node[2], 2)
     a, b = _evaluate(node[1]), _evaluate(node[2])
     if kind == "add":
-        return a + b
+        return dict_add(a, b)
     if kind == "sub":
-        return a - b
+        return dict_add(a, b, -1)
     if kind == "mul":
-        return a * b
-    return a * Fraction(1, b.coeffs[(0, 0)])
+        return dict_mul(a, b)
+    return {g: Fraction(c, b[(0, 0)]) for g, c in a.items()}
 
 
 def test_parse_matches_direct_arithmetic_on_random_trees():
@@ -188,7 +182,8 @@ def test_parse_matches_direct_arithmetic_on_random_trees():
     for _ in range(400):
         tree = _random_tree(rng, 4)
         text, _ = _render(tree)
-        assert parse_expression(text, ["x", "y"]) == _evaluate(tree), text
+        assert parse_expression(text, ["x", "y"]) == Polynomial(
+            2, _evaluate(tree)), text
 
 
 # -- job loading --------------------------------------------------------------
@@ -297,6 +292,20 @@ def test_recover_command_flags_non_composite(tmp_path):
     rec = json.loads((out / "report.json").read_text())["recovery"]
     assert rec["composite_within_checked_degree"] is False
     assert rec["first_residual"] == {"index": [0, 1], "coeff": "-1"}
+
+
+def test_recover_command_high_degree_f_expr(tmp_path):
+    # G = y^10000 about 1/2 through the identity map, read to degree 5: the
+    # shift forms six terms, not ten thousand
+    path = write_job(tmp_path, command="recover", n=1, variables=["x"],
+                     map=["x"], center=["1/2"], degree=5, f_expr="x^10000")
+    out = tmp_path / "out"
+    assert main(["recover", "--job", str(path), "--out", str(out)]) == 0
+    rec = json.loads((out / "report.json").read_text())["recovery"]
+    assert series_from_dict(rec["g_series"]).coeffs == {
+        (k,): Fraction(math.comb(10000, k), 2 ** (10000 - k))
+        for k in range(6)}
+    assert rec["composite_within_checked_degree"] is True
 
 
 def test_recover_command_trace(tmp_path):

@@ -1,5 +1,6 @@
 """The expression parser against the atom-by-atom reference parser, and the
-expansion budget that refuses an oversized product or power up front."""
+expansion budgets that refuse an oversized product or power, in terms or
+in coefficient bits, up front."""
 
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from germradius import ParseError
 from germradius import cli
-from germradius.cli import _MAX_TERMS, main, parse_expression
+from germradius.cli import _MAX_BITS, _MAX_TERMS, main, parse_expression
 from germradius.polymap import Polynomial
 from helpers import reference_parse_expression
 
@@ -204,17 +205,43 @@ def test_oversized_expansion_is_refused_at_its_operator(text, names, pos):
     assert f"limit of {_MAX_TERMS} terms" in str(err.value)
 
 
-def test_refused_power_forms_no_product(monkeypatch):
-    def no_products(*args):
-        raise AssertionError("a product was formed")
+def _no_products(*args):
+    raise AssertionError("a product was formed")
 
-    monkeypatch.setattr(cli, "_products_into", no_products)
+
+def test_refused_power_forms_no_product(monkeypatch):
+    monkeypatch.setattr(cli, "_products_into", _no_products)
     with pytest.raises(AssertionError):  # the patch is what powers call
         parse_expression("(1+x)^2", ["x"])
     for text, names in (("(1+x)^100000", ["x"]),
                         ("(x+y+z)^1000", ["x", "y", "z"])):
         with pytest.raises(ParseError):
             parse_expression(text, names)
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("2^1000000000", 1),                          # bound 10^9 bits
+    ("(123456789/987654321 + 2/7*x)^999", 29),    # bound 58941 bits
+])
+def test_oversized_coefficients_are_refused_at_the_power(
+        monkeypatch, text, pos):
+    monkeypatch.setattr(cli, "_products_into", _no_products)
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, ["x"])
+    assert err.value.position == pos
+    assert f"limit of {_MAX_BITS} coefficient bits" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "(1/3 + 2/7*x)^999",   # bound 8991 bits
+    "(1+x)^999",           # bound 999 bits
+    "x^1000000000",        # bound 0 bits
+])
+def test_powers_within_the_bit_budget_are_expanded(monkeypatch, text):
+    # the first product is where expansion starts, past both budgets
+    monkeypatch.setattr(cli, "_products_into", _no_products)
+    with pytest.raises(AssertionError, match="a product was formed"):
+        parse_expression(text, ["x"])
 
 
 @pytest.mark.parametrize("text,names,want", [
@@ -240,3 +267,13 @@ def test_oversized_map_exits_2(tmp_path, capsys):
     assert main(["profile", "--job", str(path), "--out",
                  str(tmp_path / "out")]) == 2
     assert f"limit of {_MAX_TERMS} terms" in capsys.readouterr().err
+
+
+def test_oversized_coefficients_exit_2(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "recover", "n": 1, "variables": ["x"], "map": ["x"],
+        "center": ["0"], "degree": 4, "f_expr": "2^1000000000"}))
+    assert main(["recover", "--job", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"limit of {_MAX_BITS} coefficient bits" in capsys.readouterr().err
