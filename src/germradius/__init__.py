@@ -40,7 +40,6 @@ from .pseries import (
 from .polymap import Polynomial, PolynomialMap
 from .jacobian import (
     JacobianProfile,
-    SeriesMatrix,
     adjugate,
     jacobian_matrix,
     matmul,

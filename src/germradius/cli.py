@@ -19,6 +19,11 @@ are bounded too, by k·(⌈log2 Σ|num|⌉ + ⌈log2 den⌉) over its base; a bo
 over ``_MAX_BITS`` is a ParseError at the '^'.  So a hostile power fails at
 once instead of expanding.
 
+A job file holds the core keys and its command's payload keys
+(``_PAYLOAD_KEYS``).  Any other key, more than ``_MAX_N`` variables, or a
+``grid_axes`` product of more than ``_MAX_GRID_POINTS`` points is an input
+error, found before the work it would ask for.
+
 Exit codes: 0 success, 1 domain error (singular Jacobian, insufficient
 truncation, failed verify), 2 input error (bad expression, bad job file).
 Reports are byte-deterministic for a given job file: keys are sorted,
@@ -368,6 +373,33 @@ def parse_polynomial(text, variables, center=None, degree=None):
 
 _CORE_KEYS = {"command", "n", "variables", "map", "center", "degree"}
 
+# The payload keys each command reads; ``trace`` is valid for every command.
+# ``load_job`` refuses any other key.
+_PAYLOAD_KEYS = {
+    "compose": {"g", "g_expr", "image_variables"},
+    "recover": {"f", "f_expr", "target_degree"},
+    "profile": set(),
+    "stratify": {"grid", "grid_axes", "profile_degree"},
+    "radius": {"series", "family", "window"},
+    "verify": {"max_beta", "monomial_degree", "extraction_max",
+               "roundtrip_degree", "seed"},
+}
+
+# The keys of one radius family member.
+_MEMBER_KEYS = {"t", "f", "g"}
+
+# The most variables a job may have.  The adjugate expands n^2 cofactors by
+# Laplace, about n·n! series products: a profile of the identity map at
+# degree 2 took 0.16 s at n = 6, 0.43 s at n = 7 and 2.6 s at n = 8, and
+# one at n = 12 did not finish in 30 s; a default verify took 0.27 s at
+# n = 6 (whole runs with start-up, Python 3.11 on 2 shared cores).
+_MAX_N = 6
+
+# The most points a ``grid_axes`` product may have: 100 x 100 axes stratify
+# in 0.30 s and 300 x 300 in 1.3 s, and two 3000-value axes did not finish
+# in 30 s.  A literal ``grid`` grows only with the job file.
+_MAX_GRID_POINTS = 10_000
+
 
 @dataclass
 class JobSpec:
@@ -380,12 +412,16 @@ class JobSpec:
     payload: dict
 
 
-def _job_int(value, name, minimum=None):
+def _job_int(value, name, minimum=None, maximum=None):
     """An integer job field; a bool, a non-int or a value below ``minimum``
-    is an input error."""
+    or above ``maximum`` is an input error."""
     if (not isinstance(value, int) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
-        wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
+        bounds = " and ".join(f"{op} {v}" for op, v in
+                              ((">=", minimum), ("<=", maximum))
+                              if v is not None)
+        wanted = f"an integer {bounds}" if bounds else "an integer"
         raise JobError(f"{name} must be {wanted}, got {value!r}")
     return value
 
@@ -412,6 +448,13 @@ def _job_point(point, field, n):
     if not isinstance(point, list) or len(point) != n:
         raise JobError(f"{field} must list {n} rationals, got {point!r}")
     return tuple(_exact_from_json(c, field) for c in point)
+
+
+def _refuse_unknown(keys, allowed, where):
+    unknown = sorted(set(keys) - allowed)
+    if unknown:
+        raise JobError(f"unknown keys in {where}: "
+                       + ", ".join(map(repr, unknown)))
 
 
 def _one_of(payload, first, second):
@@ -455,7 +498,9 @@ def load_job(path, command=None):
             f"job file says command {job_command!r} but {command!r} was requested")
     if job_command not in COMMANDS:
         raise JobError(f"unknown command {job_command!r}")
-    n = _job_int(data.get("n"), "n", 1)
+    _refuse_unknown(data, _CORE_KEYS | _PAYLOAD_KEYS[job_command] | {"trace"},
+                    f"a {job_command} job")
+    n = _job_int(data.get("n"), "n", 1, _MAX_N)
     variables = _job_names(data.get("variables"), "variables", n)
     map_exprs = data.get("map")
     if (not isinstance(map_exprs, list) or len(map_exprs) != n
@@ -558,6 +603,10 @@ def _grid_points(job):
         if (not isinstance(axes, list) or len(axes) != job.n
                 or any(not isinstance(a, list) or not a for a in axes)):
             raise JobError(f"grid_axes must list {job.n} nonempty axes")
+        count = math.prod(len(axis) for axis in axes)
+        if count > _MAX_GRID_POINTS:
+            raise JobError(f"grid_axes spans {count} points, more than the "
+                           f"limit of {_MAX_GRID_POINTS}")
         exact_axes = [[_exact_from_json(c, "grid_axes") for c in axis]
                       for axis in axes]
         points = [()]
@@ -626,6 +675,7 @@ def _cmd_radius(ctx):
     for idx, member in enumerate(family):
         if not isinstance(member, dict):
             raise JobError(f"family[{idx}] must be an object")
+        _refuse_unknown(member, _MEMBER_KEYS, f"family[{idx}]")
         t_val = (_exact_from_json(member["t"], f"family[{idx}].t")
                  if "t" in member else None)
         row = {"t": str(Fraction(t_val)) if t_val is not None else None}
@@ -700,15 +750,11 @@ def _cmd_verify(ctx):
            f"{min(r.trunc for r in residuals)}")
     jac = jacobian_matrix(germ)
     adj = prof.adjugate
-    lhs = matmul(jac, adj)
-    rhs = matmul(adj, jac)
     off_diagonal = prof.delta * 0
-    ok = True
-    for i in range(job.n):
-        for j in range(job.n):
-            want = prof.delta if i == j else off_diagonal
-            ok = ok and lhs.entry(i, j) == want and rhs.entry(i, j) == want
-    record("adjugate_identity", ok, "J·adj and adj·J against det·I")
+    want = tuple(tuple(prof.delta if i == j else off_diagonal
+                       for j in range(job.n)) for i in range(job.n))
+    record("adjugate_identity", matmul(jac, adj) == want == matmul(adj, jac),
+           "J·adj and adj·J against det·I")
     results = verify_identity_on_monomials(table, monomial_degree)
     record("defining_identity", all(r[2] for r in results),
            f"{len(results)} (beta, monomial) pairs")

@@ -88,9 +88,6 @@ class TOperatorTable:
     work_degree: int
     entries: dict  # (beta, alpha) -> TruncatedSeries
 
-    def entry(self, beta, alpha):
-        return self.entries[(tuple(beta), tuple(alpha))]
-
 
 class _LevelBuilder:
     """Builds successive operator levels from a determinant/adjugate pair in
@@ -119,8 +116,7 @@ class _LevelBuilder:
         # z_i times a row adds this constant to every key
         self.z = [1 << (n + i) * self.shift for i in range(markers)]
         self.delta = self._pack(delta)
-        self.adj = [[self._pack(adj.entry(i, j)) for j in range(n)]
-                    for i in range(n)]
+        self.adj = [[self._pack(e) for e in row] for row in adj]
         self.s_cols = None  # built with the first level past one
 
     def _pack(self, series):
@@ -328,7 +324,7 @@ def verify_cramer_base(germ, g, prof):
     for j in range(n):
         lhs = prof.delta.mul(compose(g.derive(unit(n, j)), germ))
         residuals.append(lhs - _sum_of_products(
-            (f_grad[i], prof.adjugate.entry(i, j)) for i in range(n)))
+            (f_grad[i], prof.adjugate[i][j]) for i in range(n)))
     return residuals
 
 

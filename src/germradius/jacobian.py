@@ -1,5 +1,8 @@
 """Jacobian matrix, adjugate, and pointwise vanishing invariants.
 
+A matrix is a tuple of rows of ``TruncatedSeries``: entry (i, j) is
+``m[i][j]``.  Its entries share dimension and centre; a product of entries
+of different truncations takes the smaller, as every series product does.
 The adjugate is the transposed cofactor matrix, the unique matrix with
 J · adj(J) = adj(J) · J = det(J) · I.  For a 1x1 matrix the adjugate is the
 constant [1] (empty-minor convention), which forces the adjugate vanishing
@@ -17,84 +20,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CenterMismatch,
-    DimensionMismatch,
-    SingularJacobianError,
-    TruncationError,
-)
+from .errors import DimensionMismatch, SingularJacobianError, TruncationError
 from .mindex import grlex_key, mi_factorial, unit
 from .pseries import TruncatedSeries, _sum_of_products, as_exact, rational_str
 
 
-class SeriesMatrix:
-    """Square matrix of series sharing centre and truncation degree."""
-
-    __slots__ = ("size", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        k = len(rows)
-        if k == 0 or any(len(r) != k for r in rows):
-            raise DimensionMismatch("matrix must be square")
-        first = rows[0][0]
-        for r in rows:
-            for e in r:
-                if e.n != first.n:
-                    raise DimensionMismatch("matrix entries disagree on dimension")
-                if e.center != first.center:
-                    raise CenterMismatch("matrix entries disagree on the centre")
-                if e.trunc != first.trunc:
-                    raise TruncationError("matrix entries must share a truncation degree")
-        self.size = k
-        self.rows = rows
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    @property
-    def n(self):
-        return self.rows[0][0].n
-
-    @property
-    def center(self):
-        return self.rows[0][0].center
-
-    @property
-    def trunc(self):
-        return self.rows[0][0].trunc
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SeriesMatrix(size={self.size}, trunc={self.trunc})"
-
-
 def jacobian_matrix(germ):
-    """Matrix whose (j, i) entry is the derivative of component j in x_i."""
+    """Rows whose (j, i) entry is the derivative of component j in x_i."""
     if germ.trunc < 1:
         raise TruncationError(
             "need truncation degree >= 1 to differentiate the map",
             needed_degree=1)
     n = germ.n
     units = [unit(n, i) for i in range(n)]
-    return SeriesMatrix(
-        [[comp.derive(units[i]) for i in range(n)] for comp in germ.components])
+    return tuple(tuple(comp.derive(u) for u in units)
+                 for comp in germ.components)
 
 
 def matmul(a, b):
-    """Matrix product of two series matrices."""
-    if a.size != b.size:
+    """Product of two square matrices given as rows of series."""
+    if len(a) != len(b):
         raise DimensionMismatch("matrix sizes differ")
-    k = a.size
-    return SeriesMatrix(
-        [[_sum_of_products((a.entry(i, r), b.entry(r, j)) for r in range(k))
-          for j in range(k)] for i in range(k)])
+    cols = list(zip(*b))
+    return tuple(tuple(_sum_of_products(zip(row, col)) for col in cols)
+                 for row in a)
 
 
 def _det(rows):
@@ -109,17 +58,17 @@ def _det(rows):
 
 def adjugate(m):
     """Transposed cofactor matrix; [1] for 1x1 by the empty-minor convention."""
-    k = m.size
+    k = len(m)
     if k == 1:
-        e = m.entry(0, 0)
-        return SeriesMatrix([[TruncatedSeries.constant(1, e.n, e.center, e.trunc)]])
+        e = m[0][0]
+        return ((TruncatedSeries.constant(1, e.n, e.center, e.trunc),),)
 
     def cofactor(i, j):
-        term = _det([[m.entry(r, c) for c in range(k) if c != i]
-                     for r in range(k) if r != j])
+        term = _det([[row[c] for c in range(k) if c != i]
+                     for r, row in enumerate(m) if r != j])
         return -term if (i + j) % 2 else term
 
-    return SeriesMatrix([[cofactor(i, j) for j in range(k)] for i in range(k)])
+    return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +83,7 @@ class JacobianProfile:
     """
 
     delta: TruncatedSeries
-    adjugate: SeriesMatrix
+    adjugate: tuple  # rows of TruncatedSeries
     mu: int
     nu: int
     alpha: tuple
@@ -174,11 +123,10 @@ def profile(germ):
     """
     jac = jacobian_matrix(germ)
     adj = adjugate(jac)
-    k = jac.size
-    delta = (jac.entry(0, 0) if k == 1 else _sum_of_products(
-        (jac.entry(0, j), adj.entry(j, 0)) for j in range(k)))
+    delta = (jac[0][0] if len(jac) == 1 else _sum_of_products(
+        (e, row[0]) for e, row in zip(jac[0], adj)))
     found = _invariants(delta.coeffs,
-                        (e.coeffs for row in adj.rows for e in row), delta.trunc)
+                        (e.coeffs for row in adj for e in row), delta.trunc)
     if found is None:
         raise SingularJacobianError(
             f"Jacobian determinant vanishes identically to degree {delta.trunc}")

@@ -194,10 +194,6 @@ class TruncatedSeries:
         return obj
 
     @classmethod
-    def zero(cls, n, center, trunc):
-        return cls(n, center, trunc, None)
-
-    @classmethod
     def constant(cls, value, n, center, trunc):
         return cls(n, center, trunc, {(0,) * n: value})
 

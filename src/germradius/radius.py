@@ -173,7 +173,7 @@ def stratify(pmap, grid, degree=None):
         delta, adj = {}, []
     else:
         delta = prof.delta.coeffs
-        adj = [e.coeffs for row in prof.adjugate.rows for e in row]
+        adj = [e.coeffs for row in prof.adjugate for e in row]
     top = degree - 1
     buckets = {}
     singular = []

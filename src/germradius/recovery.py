@@ -23,6 +23,14 @@ H themselves, one series per beta, and each sum equals the table's
 Σ_alpha T[beta, alpha] · D^alpha F, so the recovered values are the same
 rationals a table-backed extraction gives (the test suite's
 ``tests/helpers.assemble_H`` forms that table sum as the reference).
+
+The sums run on integers.  The determinant and the adjugate (a tuple of
+rows) are scaled by the least common denominator c of their coefficients,
+and F by its own d, so an integer F stays as it is.  A level-m sum then
+holds c^(2m-1) · d times its value, and the divisor
+beta! · (c · delta_alpha)^(2m-1) · d absorbs both: each G_beta is one
+quotient of two ints.  The trace prints the sum's coefficient and the
+divisor with that scale divided out.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
 from .cramerops import _delta_power, iter_h_levels, working_degree
-from .jacobian import SeriesMatrix, profile
+from .jacobian import profile
 from .mindex import grlex_key, mi_factorial, scale
 from .pseries import (
     TruncatedSeries,
@@ -74,11 +82,10 @@ def _integer_copies(prof):
     coefficients, and both scaled by c.  Scaling multiplies every level-m
     operator sum by c^(2m-1), which the divisor absorbs exactly, and it keeps
     the hot arithmetic in plain integers."""
-    rows = prof.adjugate.rows
+    k = len(prof.adjugate)
     den, (delta, *entries) = _cleared(
-        [prof.delta] + [e for row in rows for e in row])
-    flat = iter(entries)
-    return den, delta, SeriesMatrix([[next(flat) for _ in row] for row in rows])
+        [prof.delta] + [e for row in prof.adjugate for e in row])
+    return den, delta, [entries[i:i + k] for i in range(0, k * k, k)]
 
 
 def recover(germ, f_series, target_degree, trace=False):
@@ -115,21 +122,21 @@ def recover(germ, f_series, target_degree, trace=False):
     if target_degree >= 1:
         work = working_degree(prof.mu, target_degree)
         den, delta, adj = _integer_copies(prof)
-        pivot = Fraction(prof.delta.coeffs[prof.alpha]) * den
-        for m, level in iter_h_levels(f_series, target_degree, work, delta, adj):
+        fden, (f_int,) = _cleared([f_series])
+        pivot = delta.coeffs[prof.alpha]
+        for m, level in iter_h_levels(f_int, target_degree, work, delta, adj):
             idx = scale(prof.alpha, 2 * m - 1)
-            pivot_pow = pivot ** (2 * m - 1)
-            den_pow = den ** (2 * m - 1)
+            pivot_pow = pivot ** (2 * m - 1) * fden
+            scaling = den ** (2 * m - 1) * fden
             for beta, h in level.items():
                 total = h.coefficient(idx)
                 divisor = mi_factorial(beta) * pivot_pow
-                value = as_exact(Fraction(total) / divisor)
+                value = as_exact(Fraction(total, divisor))
                 if value:
                     coeffs[beta] = value
                 if trace:
-                    trace_data[beta] = (
-                        as_exact(Fraction(total) / den_pow),
-                        as_exact(divisor / den_pow))
+                    trace_data[beta] = (as_exact(Fraction(total, scaling)),
+                                        as_exact(Fraction(divisor, scaling)))
     g_series = TruncatedSeries(germ.n, germ.image_point, target_degree, coeffs)
     checked = min(f_series.trunc, target_degree)
     residual = compose(g_series, germ) - f_series.truncated(checked)

@@ -7,14 +7,13 @@ sum that tests check the H recurrence against, the row-by-row operator
 table that tests check the level builder against, the monomial-by-monomial
 identity records that tests check the exponential certificate against, the
 point-by-point stratification that tests check ``stratify`` against, and
-the identity series matrix."""
+the identity matrix as rows of series."""
 
 from fractions import Fraction
 
 from germradius import (
     MapGerm,
     ParseError,
-    SeriesMatrix,
     SingularJacobianError,
     TruncatedSeries,
     profile,
@@ -233,18 +232,18 @@ def reference_compose(g, germ):
 
 def identity_matrix(n_vars, center, trunc, size):
     one = TruncatedSeries.constant(1, n_vars, center, trunc)
-    zero = TruncatedSeries.zero(n_vars, center, trunc)
-    return SeriesMatrix(
-        [[one if i == j else zero for j in range(size)] for i in range(size)])
+    zero = TruncatedSeries(n_vars, center, trunc)
+    return tuple(tuple(one if i == j else zero for j in range(size))
+                 for i in range(size))
 
 
 def assemble_H(table, f, beta):
     """Operator sum Σ_alpha T[beta, alpha] · D^alpha f, read off the table
     entry by entry: the reference for ``cramerops.iter_h_levels``."""
     beta = tuple(beta)
-    total = TruncatedSeries.zero(f.n, f.center, f.trunc)
+    total = TruncatedSeries(f.n, f.center, f.trunc)
     for alpha in enumerate_upto(f.n, sum(beta)):
-        total = total + table.entry(beta, alpha).mul(f.derive(alpha))
+        total = total + table.entries[(beta, alpha)].mul(f.derive(alpha))
     return total
 
 
@@ -262,24 +261,23 @@ def leibniz_table(germ, max_beta_degree, work_degree):
     n, center, w = germ.n, germ.center, work_degree
     prof = profile(germ)
     delta = prof.delta.truncated(w)
-    adj = [[prof.adjugate.entry(i, j).truncated(w) for j in range(n)]
-           for i in range(n)]
+    adj = [[e.truncated(w) for e in row] for row in prof.adjugate]
     units = [unit(n, i) for i in range(n)]
     s = [sum((adj[i][j].mul(delta.derive(units[i])) for i in range(n)),
-             TruncatedSeries.zero(n, center, w)) for j in range(n)]
+             TruncatedSeries(n, center, w)) for j in range(n)]
     table = {}
     for j in range(n):
-        table[(units[j], (0,) * n)] = TruncatedSeries.zero(n, center, w)
+        table[(units[j], (0,) * n)] = TruncatedSeries(n, center, w)
         for i in range(n):
             table[(units[j], units[i])] = adj[i][j]
     for m in range(1, max_beta_degree):
-        absent = TruncatedSeries.zero(n, center, w - m + 1)
+        absent = TruncatedSeries(n, center, w - m + 1)
         for beta_new in enumerate_degree(n, m + 1):
             j = next(k for k, e in enumerate(beta_new) if e)
             beta = mi_sub(beta_new, units[j])
             for alpha in enumerate_upto(n, m + 1):
                 prev = table.get((beta, alpha), absent)
-                total = TruncatedSeries.zero(n, center, w - m)
+                total = TruncatedSeries(n, center, w - m)
                 for i in range(n):
                     part = prev.derive(units[i])
                     down = mi_sub(alpha, units[i])
@@ -319,7 +317,7 @@ def reference_monomial_records(table, g_degree):
         dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)
         scaled = {d: dpow.mul(powers[d], upto=cap)
                   for d in kappas if sum(d) <= g_degree - m}
-        zero = TruncatedSeries.zero(n, germ.center, cap)
+        zero = TruncatedSeries(n, germ.center, cap)
         alphas = [alpha for alpha in all_alphas if sum(alpha) <= m]
         for beta in enumerate_degree(n, m):
             for kappa in kappas:

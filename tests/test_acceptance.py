@@ -89,8 +89,8 @@ def _identity_suite(germ, rng, max_beta=3, monomial_degree=4):
     for prod in (matmul(jac, prof.adjugate), matmul(prof.adjugate, jac)):
         for i in range(n):
             for j in range(n):
-                want = ident.entry(i, j).mul(prof.delta)
-                assert prod.entry(i, j) == want
+                want = ident[i][j].mul(prof.delta)
+                assert prod[i][j] == want
     table = build_t_operators(germ, max_beta, work_degree=germ.trunc - 1)
     records = verify_identity_on_monomials(table, monomial_degree)
     assert records
@@ -138,8 +138,8 @@ def test_criterion_2_order_bound_and_hand_values():
             checks = verify_order_bound(table)
             assert checks and all(c.passed for c in checks)
         table = build_t_operators(square_germ(degree=10), 2)
-        assert table.entry((2,), (1,)).coeffs == {(0,): -2}
-        assert table.entry((2,), (2,)).coeffs == {(1,): 2}
+        assert table.entries[((2,), (1,))].coeffs == {(0,): -2}
+        assert table.entries[((2,), (2,))].coeffs == {(1,): 2}
 
 
 def test_criterion_3_extraction_lemma():

@@ -477,6 +477,7 @@ def test_load_job_null_command_without_command_line(tmp_path):
         load_job(path)
 
 
+_DEMO_JOBS = Path(__file__).resolve().parent.parent / "demos" / "jobs"
 _ONE_D =dict(n=1, variables=["x"], map=["x^2"], center=["0"])
 _NUMBER_JOBS = {
     "profile": dict(_ONE_D, degree=8),
@@ -621,6 +622,25 @@ _TWO_D = dict(n=2, variables=["x", "y"], map=["x", "x*y"],
         _LITERAL, terms=[{"index": [1], "coeff": "2"},
                          {"index": [1], "coeff": "2"}])}]),
                  "family[0].g", id="family-g-repeated-index"),
+    # caps on the work a job may ask for, checked before any of it
+    pytest.param("profile", dict(
+        n=7, variables=[f"x{i}" for i in range(7)],
+        map=[f"x{i}" for i in range(7)], center=["0"] * 7, degree=2),
+                 "n must be an integer >= 1 and <= 6", id="n-over-cap"),
+    pytest.param("stratify", dict(_TWO_D, grid_axes=[
+        [str(k) for k in range(101)], [str(k) for k in range(100)]]),
+                 "grid_axes spans 10100 points", id="grid_axes-over-cap"),
+    # a key the command does not read
+    pytest.param("profile", dict(_ONE_D, degree=8, window=5), "'window'",
+                 id="profile-window"),
+    pytest.param("radius", dict(_ONE_D, degree=8, family=[
+        {"t": "1", "f": _LITERAL, "h": _LITERAL}]), "family[0]: 'h'",
+                 id="family-member-unknown-key"),
+    # with these keys ignored, the demo job ran at the default target
+    pytest.param("recover", dict(json.loads(
+        (_DEMO_JOBS / "recover_geometric.json").read_text()),
+        target_degre=3, windw=5), "'target_degre', 'windw'",
+                 id="recover_geometric-misspelled-keys"),
 ])
 def test_exit_code_2_on_bad_payload(tmp_path, capsys, command, job, field):
     path = tmp_path / "job.json"
@@ -712,3 +732,12 @@ def test_recover_defaults_to_max_recoverable(tmp_path):
     g = series_from_dict(rec["g_series"])
     assert g.trunc == 3 == rec["max_recoverable_degree"]
     assert g.coeffs == {(0,): 1, (1,): 4, (2,): 16, (3,): 64}
+
+
+def test_grid_axes_at_the_cap_are_admitted(tmp_path):
+    from germradius.cli import _grid_points
+    axes = [[str(k) for k in range(100)], [str(k) for k in range(100)]]
+    job = load_job(write_job(tmp_path, **dict(_TWO_D, command="stratify",
+                                              grid_axes=axes)))
+    points = _grid_points(job)
+    assert len(points) == 10_000 and points[101] == (1, 1)

@@ -36,23 +36,23 @@ from helpers import (
 
 def test_base_level_is_cramers_rule():
     table = build_t_operators(square_germ(degree=8), 1)
-    assert table.entry((1,), (0,)).is_zero
-    assert table.entry((1,), (1,)).coeffs == {(0,): 1}
+    assert table.entries[((1,), (0,))].is_zero
+    assert table.entries[((1,), (1,))].coeffs == {(0,): 1}
     sigma = build_t_operators(blowup_germ(degree=10), 1)
     adj = sigma.profile.adjugate
     for i in range(2):
         for j in range(2):
-            assert (sigma.entry(unit(2, j), unit(2, i)).coeffs
-                    == adj.entry(i, j).coeffs)
-    assert sigma.entry((1, 0), (0, 0)).is_zero
-    assert sigma.entry((0, 1), (0, 0)).is_zero
+            assert (sigma.entries[(unit(2, j), unit(2, i))].coeffs
+                    == adj[i][j].coeffs)
+    assert sigma.entries[((1, 0), (0, 0))].is_zero
+    assert sigma.entries[((0, 1), (0, 0))].is_zero
 
 
 def test_square_map_level_two_hand_values():
     table = build_t_operators(square_germ(degree=10), 2)
-    assert table.entry((2,), (0,)).is_zero
-    assert table.entry((2,), (1,)).coeffs == {(0,): -2}
-    assert table.entry((2,), (2,)).coeffs == {(1,): 2}
+    assert table.entries[((2,), (0,))].is_zero
+    assert table.entries[((2,), (1,))].coeffs == {(0,): -2}
+    assert table.entries[((2,), (2,))].coeffs == {(1,): 2}
 
 
 def test_defining_identity_square_hand_case():
@@ -78,7 +78,7 @@ def test_defining_identity_identity_map():
         assert verify_defining_identity(table, g, beta).is_zero
     # for the identity map the operator table is a Kronecker delta
     for alpha in enumerate_upto(2, 2):
-        entry = table.entry((1, 1), alpha)
+        entry = table.entries[((1, 1), alpha)]
         if alpha == (1, 1):
             assert entry.coeffs == {(0, 0): 1}
         else:
@@ -278,7 +278,7 @@ def test_level_one_at_working_degree_zero():
     # level one is the adjugate and takes no derivative of delta
     germ = germ_of(["x"], ["x"], degree=1)
     table = build_t_operators(germ, 1, work_degree=0)
-    entry = table.entry((1,), (1,))
+    entry = table.entries[((1,), (1,))]
     assert (entry.trunc, entry.coeffs) == (0, {(0,): 1})
     table = build_t_operators(
         germ_of(["x + 2*y", "3*x + y"], ["x", "y"], degree=1), 1,
@@ -286,9 +286,9 @@ def test_level_one_at_working_degree_zero():
     adj = table.profile.adjugate
     for i in range(2):
         for j in range(2):
-            entry = table.entry(unit(2, j), unit(2, i))
+            entry = table.entries[(unit(2, j), unit(2, i))]
             assert entry.trunc == 0
-            assert entry.coeffs == adj.entry(i, j).truncated(0).coeffs
+            assert entry.coeffs == adj[i][j].truncated(0).coeffs
     with pytest.raises(TruncationError, match="exhausted at level 2"):
         build_t_operators(germ, 2, work_degree=0)
 

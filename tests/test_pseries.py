@@ -419,7 +419,7 @@ def _compose_reference(g, germ):
     t = min(g.trunc, germ.trunc)
     devs = [d.truncated(t) for d in germ.deviations()]
     one = TruncatedSeries.constant(1, germ.n, germ.center, t)
-    acc = TruncatedSeries.zero(germ.n, germ.center, t)
+    acc = TruncatedSeries(germ.n, germ.center, t)
     for kappa, c in g.coeffs.items():
         if sum(kappa) > t:
             continue

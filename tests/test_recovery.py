@@ -237,6 +237,39 @@ def test_recover_trace_records_divisors():
         "beta": [1], "h_coefficient": "4", "divisor": "2"}
 
 
+
+@pytest.mark.parametrize("exprs,variables,center,target", [
+    (["x^2"], ["x"], (Fraction(7, 3),), 8),
+    (["x + y^2", "x*y + y^3"], ["x", "y"], (0, 0), 3),
+    (["1/3*x^2", "y + 1/2*x*y"], ["x", "y"], (Fraction(1, 2), 1), 3),
+])
+def test_recover_levels_see_only_integers(monkeypatch, exprs, variables,
+                                          center, target):
+    # F with rational coefficients is cleared of its denominators once: the
+    # level loop receives int coefficients and G comes out exactly
+    import germradius.recovery as recovery
+    seen = []
+
+    def spy(f, *args):
+        seen.append(f)
+        return iter_h_levels(f, *args)
+
+    monkeypatch.setattr(recovery, "iter_h_levels", spy)
+    n = len(variables)
+    mu = profile(germ_of(exprs, variables, center=center)).mu
+    need = working_degree(mu, target)
+    germ = germ_of(exprs, variables, center=center, degree=need + 1)
+    g0 = TruncatedSeries(n, germ.image_point, need, {
+        gamma: Fraction(1, 2 ** sum(gamma) + 1 + gamma[0])
+        for gamma in enumerate_upto(n, target)})
+    f = compose(g0, germ)
+    assert any(isinstance(c, Fraction) for c in f.coeffs.values())
+    report = recover(germ, f, target)
+    assert len(seen) == 1
+    assert all(type(c) is int for c in seen[0].coeffs.values())
+    assert report.g_series.coeffs == g0.coeffs
+    assert report.residual.is_zero
+
 @pytest.mark.parametrize("n,singular", [
     (1, False), (1, True), (2, False), (2, True), (3, False)])
 def test_round_trip_random(n, singular):
