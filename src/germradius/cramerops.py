@@ -22,9 +22,9 @@ the table row R_beta = Σ_alpha T[beta, alpha] · z^alpha is that exponential's
 operator sum divided by it.  The rows take the same step with the gradient
 D_i R_beta + z_i · R_beta, from R_{e_j} = Σ_i z_i · adj[i][j];
 ``iter_t_levels`` splits each row into its entries, and ``iter_h_levels``
-takes the step on the sums Σ_alpha T[beta, alpha] · D^alpha f for one f,
-which recovery reads.  The build is deterministic, so recomputation is
-bit-identical.
+takes the step on the sums Σ_alpha T[beta, alpha] · D^alpha f for one f
+and hands recovery the one coefficient of each that it reads.  The build is
+deterministic, so recomputation is bit-identical.
 
 The recurrence is a construction device; the identity over the monomial
 basis g = (y - b)^kappa is the contract that certifies a table.
@@ -46,13 +46,15 @@ the cap stays one comparison.  Every field has
 max(work_degree, max_beta_degree).bit_length() bits: a coordinate stays
 within the working degree and a marker reaches max_beta_degree.  delta, the
 adjugate entries and the contractions s_j are packed once per run; rows and
-sums stay packed from one level to the next and are unpacked once, when
-their level is yielded.  The certificate's Q_alpha and E_beta hold w in the
-same marker fields.
+sums stay packed from one level to the next.  Rows are unpacked once, when
+their level is yielded.  Sums are never unpacked: only the coefficient at
+the extraction index (2m - 1)·alpha leaves each, found by its key.  The
+certificate's Q_alpha and E_beta hold w in the same marker fields.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import TruncationError
@@ -150,8 +152,7 @@ class _LevelBuilder:
                     grad = [self._grad(self.delta)]
                     self.s_cols = [self._contract(grad, j, self.work_degree)
                                    for j in range(self.n)]
-                parts = {beta: [self._grad(s), self._marked(s)]
-                         for beta, s in level.items()}
+                parts = {beta: self._parts(s) for beta, s in level.items()}
                 level = {beta_new: self._step(level[beta], parts[beta], j,
                                               m - 1, cap)
                          for beta_new, j, beta in self._parents(m - 1)}
@@ -172,17 +173,25 @@ class _LevelBuilder:
         """The key offset of z^alpha."""
         return sum(a * z for a, z in zip(alpha, self.z))
 
-    def _marked(self, series):
-        """The parts z_i · series; none on the sums, which carry no markers."""
+    def _parts(self, series):
+        """The gradient parts of ``series``: D_i series, and on a row also
+        z_i · series; the sums carry no markers."""
+        grad = self._grad(series)
+        if not self.z:
+            return [grad]
         trunc, terms = series
-        return [(trunc, [(k + z, c) for k, c in terms]) for z in self.z]
+        return [grad, [(trunc, [(k + z, c) for k, c in terms])
+                       for z in self.z]]
 
     def _contract(self, grads, j, target):
         """Σ_i adj[i][j] · Σ_g g[i] over the gradients in ``grads``, capped
         at ``target``, in one accumulator."""
         col = [row[j] for row in self.adj]
-        trunc = min(target, *(a[0] for a in col),
-                    *(part[0] for g in grads for part in g))
+        trunc = target
+        for parts in (col, *grads):
+            for t, _ in parts:
+                if t < trunc:
+                    trunc = t
         limit = (trunc + 1) << self.fields * self.shift
         acc = {}
         for g in grads:
@@ -245,20 +254,49 @@ def iter_t_levels(germ, max_beta_degree, work_degree, prof):
         yield m, builder.entries(rows, m)
 
 
-def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
-    """Yield (m, {beta: H_beta}) for m = 1..max_beta_degree, where
-    H_beta = Σ_alpha T[beta, alpha] · D^alpha f_series is the operator sum of
-    the table built from ``delta`` and ``adj``, valid to degree
-    work_degree - m at most.  It starts from H_{e_j} = Σ_i adj[i][j] · D^{e_i}
-    f_series and takes the table's step with the gradient of H_beta, which
-    holds by linearity for every f_series, composite or not.  Each H_beta
-    stays packed between levels.
-    """
+def _sum_levels(f_series, max_beta_degree, work_degree, delta, adj):
+    """The level builder of the operator sums on ``f_series`` and its
+    levels (m, {beta: packed H_beta}), valid to degree work_degree - m at
+    most.  Level one is H_{e_j} = Σ_i adj[i][j] · D^{e_i} f_series."""
     builder = _LevelBuilder(f_series.n, f_series.center, work_degree,
                             max_beta_degree, delta, adj, rows=False)
     first = builder._grad(builder._pack(f_series))
-    for m, level in builder.levels(first, work_degree - 1):
-        yield m, {beta: builder._series(*h) for beta, h in level.items()}
+    return builder, builder.levels(first, work_degree - 1)
+
+
+def iter_h_levels(f_series, max_beta_degree, work_degree, delta, adj, alpha):
+    """Yield (m, {beta: coefficient}) for m = 1..max_beta_degree: the
+    coefficient at (2m - 1)·alpha of H_beta = Σ_alpha' T[beta, alpha'] ·
+    D^alpha' f_series, the operator sum of the table built from ``delta``
+    and ``adj``.  The sums start from H_{e_j} = Σ_i adj[i][j] · D^{e_i}
+    f_series and take the table's step with the gradient of H_beta, which
+    holds by linearity for every f_series, composite or not.
+
+    Each H_beta stays packed inside the builder; only its pivot coefficient
+    leaves.  The pivot's key is 2m - 1 times alpha's key, found in the
+    sorted terms by bisection.  No field overflows: the pivot's degree is
+    checked against the level's truncation first, and that truncation is
+    below work_degree, which each field holds.  A pivot beyond the
+    truncation raises ``TruncationError``: an unknown coefficient is never
+    read as zero.
+    """
+    builder, levels = _sum_levels(f_series, max_beta_degree, work_degree,
+                                  delta, adj)
+    mu = sum(alpha)
+    [(step, _)] = _packed({alpha: 1}, builder.shift, mu)
+    for m, level in levels:
+        degree = (2 * m - 1) * mu
+        pivot = ((2 * m - 1) * step,)
+        out = {}
+        for beta, (trunc, terms) in level.items():
+            if degree > trunc:
+                raise TruncationError(
+                    f"pivot at degree {degree} is beyond truncation degree "
+                    f"{trunc} of level {m}", needed_degree=degree + m)
+            i = bisect_left(terms, pivot)
+            out[beta] = (terms[i][1] if i < len(terms)
+                         and terms[i][0] == pivot[0] else 0)
+        yield m, out
 
 
 def working_degree(mu, max_beta_degree):

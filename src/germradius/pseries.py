@@ -382,7 +382,17 @@ def _cleared(series_list):
 
 def _monomial_power(kappa, cache, times):
     """(devs)^kappa with memoized predecessors, built without recursion;
-    ``times(power, j)`` is the product step power · devs[j]."""
+    ``times(power, j)`` is the product step power · devs[j].  A power whose
+    parent is cached takes one step; the stack walks back to the nearest
+    cached predecessor only when the parent is missing."""
+    p = cache.get(kappa)
+    if p is not None:
+        return p
+    j = max(i for i, e in enumerate(kappa) if e)
+    p = cache.get(kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:])
+    if p is not None:
+        p = cache[kappa] = times(p, j)
+        return p
     stack = [kappa]
     while stack:
         cur = stack[-1]
@@ -436,7 +446,15 @@ def compose(g, germ):
             scale = den ** sum(kappa)
             r = math.gcd(c.numerator, scale)
             weights[kappa] = c.numerator // r, c.denominator * (scale // r)
-    m = math.lcm(*(q for _, q in weights.values()))
+    order = sorted(weights, key=grlex_key)
+    # the common denominator, highest degree first: the lower degrees'
+    # denominators then mostly divide it, and a remainder test is cheaper
+    # than the gcd math.lcm takes for every one
+    m = 1
+    for kappa in reversed(order):
+        q = weights[kappa][1]
+        if m % q:
+            m *= q // math.gcd(m, q)
     shift = t.bit_length() or 1
     limit = (t + 1) << germ.n * shift
     packed = [_packed(d.coeffs, shift, t) for d in devs]
@@ -449,7 +467,7 @@ def compose(g, germ):
     cache = {(0,) * germ.n: [(0, 1)]}
     acc = {}
     get = acc.get
-    for kappa in sorted(weights, key=grlex_key):
+    for kappa in order:
         p, q = weights[kappa]
         w = p * (m // q)
         for k, c in _monomial_power(kappa, cache, times):

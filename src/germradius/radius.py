@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import linear_regression, median
 
 from .errors import (
@@ -32,8 +31,9 @@ _FLOAT_NOTE = "float64 shell values from exact magnitudes via base-2 logarithms"
 
 
 def _log2_magnitude(value):
-    f = Fraction(value)
-    return math.log2(abs(f.numerator)) - math.log2(f.denominator)
+    """log2 |value| of an int or Fraction, from its numerator and
+    denominator."""
+    return math.log2(abs(value.numerator)) - math.log2(value.denominator)
 
 
 @dataclass(eq=False)
@@ -53,8 +53,8 @@ def estimate_radius(series, window=10):
     enter the median as infinite values.  Needs at least 2*window nonzero
     shells to call the tail stable.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not isinstance(window, int) or isinstance(window, bool) or window < 1:
+        raise ValueError(f"window must be a positive int, got {window!r}")
     shell_max = {}
     for g, c in series.coeffs.items():
         d = sum(g)

@@ -19,10 +19,14 @@ more), because the extraction coefficient lives at degree (2m-1)·mu and each
 level consumes one derivative.
 
 No operator table is built: ``cramerops.iter_h_levels`` recurs on the sums
-H themselves, one series per beta, and each sum equals the table's
+H themselves, one packed sum per beta, and each sum equals the table's
 Σ_alpha T[beta, alpha] · D^alpha F, so the recovered values are the same
 rationals a table-backed extraction gives (the test suite's
-``tests/helpers.assemble_H`` forms that table sum as the reference).
+``tests/helpers.assemble_H`` forms that table sum as the reference).  The
+sums stay packed inside the level builder; only the coefficient at the
+extraction index leaves it, so no sum becomes a series here.  The pivot
+power grows by pivot² per level, and G is assembled from the quotients
+directly.
 
 The sums run on integers.  The determinant and the adjugate (a tuple of
 rows) are scaled by the least common denominator c of their coefficients,
@@ -96,8 +100,9 @@ def recover(germ, f_series, target_degree, trace=False):
     identically zero: it is the self-check that does not depend on how the
     operator sums were constructed.
     """
-    if not isinstance(target_degree, int) or target_degree < 0:
-        raise ValueError(f"target degree must be a nonnegative int, got {target_degree}")
+    if (not isinstance(target_degree, int) or isinstance(target_degree, bool)
+            or target_degree < 0):
+        raise ValueError(f"target degree must be a nonnegative int, got {target_degree!r}")
     if f_series.n != germ.n:
         raise DimensionMismatch("series and map disagree on dimension")
     if f_series.center != germ.center:
@@ -124,20 +129,22 @@ def recover(germ, f_series, target_degree, trace=False):
         den, delta, adj = _integer_copies(prof)
         fden, (f_int,) = _cleared([f_series])
         pivot = delta.coeffs[prof.alpha]
-        for m, level in iter_h_levels(f_int, target_degree, work, delta, adj):
-            idx = scale(prof.alpha, 2 * m - 1)
-            pivot_pow = pivot ** (2 * m - 1) * fden
-            scaling = den ** (2 * m - 1) * fden
-            for beta, h in level.items():
-                total = h.coefficient(idx)
+        square = pivot * pivot
+        pivot_pow = pivot * fden  # pivot^(2m - 1) · fden at level m
+        for m, level in iter_h_levels(f_int, target_degree, work, delta, adj,
+                                      prof.alpha):
+            if trace:
+                scaling = den ** (2 * m - 1) * fden
+            for beta, total in level.items():
                 divisor = mi_factorial(beta) * pivot_pow
-                value = as_exact(Fraction(total, divisor))
-                if value:
-                    coeffs[beta] = value
+                if total:
+                    coeffs[beta] = as_exact(Fraction(total, divisor))
                 if trace:
                     trace_data[beta] = (as_exact(Fraction(total, scaling)),
                                         as_exact(Fraction(divisor, scaling)))
-    g_series = TruncatedSeries(germ.n, germ.image_point, target_degree, coeffs)
+            pivot_pow *= square
+    g_series = TruncatedSeries._raw(germ.n, germ.image_point, target_degree,
+                                    coeffs)
     checked = min(f_series.trunc, target_degree)
     residual = compose(g_series, germ) - f_series.truncated(checked)
     return RecoveryReport(

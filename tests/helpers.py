@@ -3,7 +3,8 @@ the exponent-dict sum, product and power, the atom-by-atom expression
 parser built on them that tests check ``parse_expression`` against, the
 reference product and composition that tests check
 ``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
-sum that tests check the H recurrence against, the row-by-row operator
+sum that tests check the H recurrence against, the whole streamed sums
+whose pivots tests check ``iter_h_levels`` against, the row-by-row operator
 table that tests check the level builder against, the monomial-by-monomial
 identity records that tests check the exponential certificate against, the
 point-by-point stratification that tests check ``stratify`` against, and
@@ -19,7 +20,7 @@ from germradius import (
     profile,
 )
 from germradius.cli import _tokenize, parse_expression, parse_polynomial
-from germradius.cramerops import _delta_power
+from germradius.cramerops import _delta_power, _sum_levels
 from germradius.mindex import (
     enumerate_degree,
     enumerate_upto,
@@ -239,12 +240,23 @@ def identity_matrix(n_vars, center, trunc, size):
 
 def assemble_H(table, f, beta):
     """Operator sum Σ_alpha T[beta, alpha] · D^alpha f, read off the table
-    entry by entry: the reference for ``cramerops.iter_h_levels``."""
+    entry by entry: the reference for ``streamed_h_levels``."""
     beta = tuple(beta)
     total = TruncatedSeries(f.n, f.center, f.trunc)
     for alpha in enumerate_upto(f.n, sum(beta)):
         total = total + table.entries[(beta, alpha)].mul(f.derive(alpha))
     return total
+
+
+def streamed_h_levels(f_series, max_beta_degree, work_degree, delta, adj):
+    """Yield (m, {beta: H_beta}) for m = 1..max_beta_degree: the whole
+    operator sums of ``cramerops.iter_h_levels``, unpacked from the level
+    builder into series valid to degree work_degree - m at most; the
+    reference for the pivots ``iter_h_levels`` reads off them."""
+    builder, levels = _sum_levels(f_series, max_beta_degree, work_degree,
+                                  delta, adj)
+    for m, level in levels:
+        yield m, {beta: builder._series(*h) for beta, h in level.items()}
 
 
 def leibniz_table(germ, max_beta_degree, work_degree):

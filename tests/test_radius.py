@@ -59,6 +59,12 @@ def test_too_few_shells():
         estimate_radius(geometric(Fraction(1, 2), 10), window=10)
 
 
+@pytest.mark.parametrize("window", [0, -1, True, False, 2.5, "10", None])
+def test_window_must_be_a_positive_int(window):
+    with pytest.raises(ValueError):
+        estimate_radius(geometric(Fraction(1, 4), 40), window=window)
+
+
 def test_huge_magnitudes_do_not_overflow():
     # coefficients around 8^(2k-1) exceed double range long before k = 400
     a = Fraction(1, 8)

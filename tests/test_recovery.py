@@ -31,6 +31,7 @@ from helpers import (
     random_series,
     square_germ,
     series_of,
+    streamed_h_levels,
 )
 
 
@@ -147,8 +148,8 @@ def test_streamed_h_matches_table_sum(n, singular):
         table = build_t_operators(germ, target, work_degree=work)
         report = recover(germ, f, target, trace=True)
         seen = 0
-        for m, level in iter_h_levels(f, target, work, prof.delta,
-                                      prof.adjugate):
+        for m, level in streamed_h_levels(f, target, work, prof.delta,
+                                          prof.adjugate):
             for beta, h in level.items():
                 ref = assemble_H(table, f, beta)
                 common = min(h.trunc, ref.trunc)
@@ -173,11 +174,89 @@ def test_streamed_h_keeps_the_working_truncation(n, singular):
     prof = profile(germ)
     for extra in (0, 2):
         f = _fraction_series(rng, n, germ.center, work + extra)
-        levels = list(iter_h_levels(f, target, work, prof.delta,
-                                    prof.adjugate))
+        levels = list(streamed_h_levels(f, target, work, prof.delta,
+                                        prof.adjugate))
         assert [m for m, _ in levels] == list(range(1, target + 1))
         for m, level in levels:
             assert level and all(h.trunc == work - m for h in level.values())
+
+
+@pytest.mark.parametrize("n,singular", [
+    (1, False), (1, True), (2, False), (2, True), (3, False), (3, True)])
+def test_h_levels_read_the_streamed_pivots(n, singular):
+    # iter_h_levels yields, per beta, the coefficient of the whole streamed
+    # sum at (2m - 1)·alpha, also when F carries more degrees than needed
+    rng = random.Random(980 + n + 10 * singular)
+    target = 3
+    work = working_degree(int(singular), target)
+    germ = random_map(rng, n, trunc=work + 1, singular=singular, max_mu=1)
+    prof = profile(germ)
+    for extra in (0, 2):
+        f = _fraction_series(rng, n, germ.center, work + extra)
+        args = (f, target, work, prof.delta, prof.adjugate)
+        pivots = list(iter_h_levels(*args, prof.alpha))
+        sums = list(streamed_h_levels(*args))
+        assert [m for m, _ in pivots] == [m for m, _ in sums]
+        for (m, level), (_, ref) in zip(pivots, sums):
+            idx = tuple(e * (2 * m - 1) for e in prof.alpha)
+            assert level == {beta: h.coefficient(idx)
+                             for beta, h in ref.items()}
+
+
+def test_h_levels_refuse_a_pivot_beyond_truncation():
+    # mu = 1 at work_degree = B: level m holds degrees <= B - m, so the
+    # pivot at degree 2m - 1 is known up to m = (B + 1) // 3 and not after
+    germ = square_germ(degree=10)
+    prof = profile(germ)
+    assert prof.mu == 1
+    f = series_of("x^2 + x^3", ["x"], degree=9)
+    for work in range(2, 10):
+        args = (f, work, work, prof.delta, prof.adjugate)
+        levels = iter_h_levels(*args, prof.alpha)
+        last = (work + 1) // 3
+        yielded = [next(levels)[0] for _ in range(last)]
+        assert yielded == list(range(1, last + 1))
+        with pytest.raises(TruncationError):
+            next(levels)
+        # the whole sum at that level does not know its pivot either
+        m, level = list(streamed_h_levels(*args))[last]
+        with pytest.raises(TruncationError):
+            level[(m,)].coefficient((2 * m - 1,))
+
+
+def test_recover_builds_no_series_from_the_sums(monkeypatch):
+    # the operator sums stay packed: recover reads only their pivots
+    import germradius.cramerops as cramerops
+
+    def refuse(*args):
+        raise AssertionError("an operator sum became a series")
+
+    monkeypatch.setattr(cramerops._LevelBuilder, "_series", refuse)
+    cases = ((["x^2"], ["x"], 6), (["x + y^2", "x*y + y^3"], ["x", "y"], 3))
+    for exprs, variables, target in cases:
+        n = len(variables)
+        mu = profile(germ_of(exprs, variables)).mu
+        need = working_degree(mu, target)
+        germ = germ_of(exprs, variables, degree=need + 1)
+        g0 = random_series(random.Random(target), n, target,
+                           center=germ.image_point, trunc=need)
+        report = recover(germ, compose(g0, germ), target, trace=True)
+        assert report.g_series.coeffs == g0.coeffs
+        assert report.residual.is_zero
+
+
+@pytest.mark.parametrize("target", [True, False])
+def test_recover_refuses_a_bool_target_before_any_work(monkeypatch, target):
+    import germradius.recovery as recovery
+
+    def refuse(*args):
+        raise AssertionError("recover profiled the map")
+
+    monkeypatch.setattr(recovery, "profile", refuse)
+    germ = square_germ(degree=8)
+    f = series_of("x^2", ["x"], degree=7)
+    with pytest.raises(ValueError):
+        recover(germ, f, target)
 
 
 # -- extraction lemma ---------------------------------------------------------
