@@ -19,10 +19,10 @@ are bounded too, by k·(⌈log2 Σ|num|⌉ + ⌈log2 den⌉) over its base; a bo
 over ``_MAX_BITS`` is a ParseError at the '^'.  So a hostile power fails at
 once instead of expanding.
 
-A job file holds the core keys and its command's payload keys
-(``_PAYLOAD_KEYS``).  Any other key, more than ``_MAX_N`` variables, or a
-``grid_axes`` product of more than ``_MAX_GRID_POINTS`` points is an input
-error, found before the work it would ask for.
+``load_job`` reads every key of a job file before any work: the core keys,
+then the payload through its command's entry in ``_PAYLOADS``, which gives
+each key its reader, default and cap.  A bad or unknown key is an input
+error there, so the handlers use read values and check nothing.
 
 Exit codes: 0 success, 1 domain error (singular Jacobian, insufficient
 truncation, failed verify), 2 input error (bad expression, bad job file).
@@ -34,6 +34,7 @@ from the job.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -373,21 +374,6 @@ def parse_polynomial(text, variables, center=None, degree=None):
 
 _CORE_KEYS = {"command", "n", "variables", "map", "center", "degree"}
 
-# The payload keys each command reads; ``trace`` is valid for every command.
-# ``load_job`` refuses any other key.
-_PAYLOAD_KEYS = {
-    "compose": {"g", "g_expr", "image_variables"},
-    "recover": {"f", "f_expr", "target_degree"},
-    "profile": set(),
-    "stratify": {"grid", "grid_axes", "profile_degree"},
-    "radius": {"series", "family", "window"},
-    "verify": {"max_beta", "monomial_degree", "extraction_max",
-               "roundtrip_degree", "seed"},
-}
-
-# The keys of one radius family member.
-_MEMBER_KEYS = {"t", "f", "g"}
-
 # The most variables a job may have.  The adjugate expands n^2 cofactors by
 # Laplace, about n·n! series products: a profile of the identity map at
 # degree 2 took 0.16 s at n = 6, 0.43 s at n = 7 and 2.6 s at n = 8, and
@@ -399,6 +385,26 @@ _MAX_N = 6
 # in 0.30 s and 300 x 300 in 1.3 s, and two 3000-value axes did not finish
 # in 30 s.  A literal ``grid`` grows only with the job file.
 _MAX_GRID_POINTS = 10_000
+
+# The most betas a verify job's operator table may have, comb(n + max_beta,
+# n) - 1 of them.  A beta's cost grows with n and with the germ's density,
+# so no cap on max_beta alone fits every n.  Whole verify runs on dense
+# mu = 1 maps at rational centres (perfbench's random_map, seed 1) took, at
+# n = 2, 1.7 s for max_beta 6 (27 betas), 4.3 s for 7 (35) and 10.4 s for 8
+# (44); at n = 3, 0.36 s for 3 (19) and 3.9 s for 4 (34); at n = 4, 1.3 s
+# for 2 (14) and 6.0 s for 3 (34).  So the cap admits max_beta 30 at n = 1,
+# 6 at n = 2, 3 at n = 3 and the default 2 at n = 4 to 6.  The slowest jobs
+# it admits are that default on such maps: 13 s at n = 5 (20 betas), and
+# at n = 6 (27) no end within 60 s, where max_beta 1 took 12 s; with mu = 0
+# at n = 6, 2 took 1.35 s and 4 (209) 16 s.  Only a cap on n refuses those.
+_MAX_BETAS = 30
+
+# The largest extraction_max: verify builds delta^(2m - 1) afresh for each
+# m up to it, and the power's lowest form has more terms as n grows.  On the
+# dense mu = 1 maps above at max_beta 1, extraction_max 10 took 0.27 s at
+# n = 3, 0.49 s at n = 4 and 3.1 s at n = 5 (1.4 s at the default 3), the
+# slowest measured it admits; 20 took 2.0 s at n = 3 and 24 s at n = 4.
+_MAX_EXTRACTION = 10
 
 
 @dataclass
@@ -426,21 +432,11 @@ def _job_int(value, name, minimum=None, maximum=None):
     return value
 
 
-def _job_opt_int(payload, name, default, minimum=None):
-    """An optional integer payload field: an absent key takes ``default``,
-    a present one (null included) must pass :func:`_job_int`."""
-    if name not in payload:
-        return default
-    return _job_int(payload[name], name, minimum)
-
-
-def _job_names(names, field, n):
-    """``n`` distinct nonempty variable names."""
-    if (not isinstance(names, list) or len(names) != n
-            or any(not isinstance(v, str) or not v for v in names)
-            or len(set(names)) != n):
-        raise JobError(f"{field} must be {n} distinct nonempty names")
-    return list(names)
+def _exact_from_json(value, context):
+    try:
+        return _json_rational(value)
+    except ValueError as exc:
+        raise JobError(f"bad rational in {context}: {value!r}") from exc
 
 
 def _job_point(point, field, n):
@@ -457,29 +453,111 @@ def _refuse_unknown(keys, allowed, where):
                        + ", ".join(map(repr, unknown)))
 
 
-def _one_of(payload, first, second):
-    """Which of two exclusive payload keys the job gives, or None."""
-    if first in payload and second in payload:
-        raise JobError(f"give {first!r} or {second!r}, not both")
-    return first if first in payload else second if second in payload else None
+def _integer(minimum, maximum=None):
+    return lambda value, key, n: _job_int(value, key, minimum, maximum)
 
 
-def _series_literal(literal, context):
-    """A series from its JSON literal; a malformed one is an input error."""
+def _max_beta(value, key, n):
+    """At most the largest max_beta with no more than ``_MAX_BETAS`` betas."""
+    top = max(b for b in range(1, _MAX_BETAS + 1)
+              if math.comb(n + b, n) - 1 <= _MAX_BETAS)
+    return _job_int(value, key, 1, top)
+
+
+def _flag(value, key, n):
+    if not isinstance(value, bool):
+        raise JobError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _job_names(names, key, n):
+    """``n`` distinct nonempty variable names."""
+    if (not isinstance(names, list) or len(names) != n
+            or any(not isinstance(v, str) or not v for v in names)
+            or len(set(names)) != n):
+        raise JobError(f"{key} must be {n} distinct nonempty names")
+    return list(names)
+
+
+def _text(value, key, n):
+    """Expression text; the handler parses it once ``--degree`` is known."""
+    if not isinstance(value, str):
+        raise JobError(f"{key} must be an expression string")
+    return value
+
+
+def _series_literal(literal, key, n):
     try:
         return series_from_dict(literal)
     except (ValueError, GermRadiusError) as exc:
-        raise JobError(f"bad series literal {context}: {exc}") from exc
+        raise JobError(f"bad series literal in {key!r}: {exc}") from exc
 
 
-def _exact_from_json(value, context):
-    try:
-        return _json_rational(value)
-    except ValueError as exc:
-        raise JobError(f"bad rational in {context}: {value!r}") from exc
+def _grid(points, key, n):
+    if not isinstance(points, list) or not points:
+        raise JobError("grid must be a nonempty list of points")
+    return tuple(_job_point(p, "grid point", n) for p in points)
+
+
+def _grid_axes(axes, key, n):
+    """The product of the axes, counted before any point is formed."""
+    if (not isinstance(axes, list) or len(axes) != n
+            or any(not isinstance(a, list) or not a for a in axes)):
+        raise JobError(f"grid_axes must list {n} nonempty axes")
+    count = math.prod(len(axis) for axis in axes)
+    if count > _MAX_GRID_POINTS:
+        raise JobError(f"grid_axes spans {count} points, more than the "
+                       f"limit of {_MAX_GRID_POINTS}")
+    exact_axes = [[_exact_from_json(c, key) for c in axis] for axis in axes]
+    return tuple(itertools.product(*exact_axes))
+
+
+def _family(members, key, n):
+    """Radius family members as (t or None, {"f": series, "g": series})."""
+    if not isinstance(members, list) or not members:
+        raise JobError("family must be a nonempty list of members")
+    out = []
+    for idx, member in enumerate(members):
+        where = f"family[{idx}]"
+        if not isinstance(member, dict):
+            raise JobError(f"{where} must be an object")
+        _refuse_unknown(member, {"t", "f", "g"}, where)
+        t = _exact_from_json(member["t"], f"{where}.t") if "t" in member else None
+        out.append((t, {k: _series_literal(member[k], f"{where}.{k}", n)
+                        for k in ("f", "g") if k in member}))
+    return tuple(out)
+
+
+# Each command's payload: the exclusive pair of which a job gives exactly
+# one key, and every key with its reader and the default an absent key
+# takes (a callable default is called with n; a pair key has none).  A
+# reader takes (value, key, n) and returns what the handler uses; the caps
+# are its maxima.  ``trace`` (a flag, default false) is valid for every
+# command.
+_PAYLOADS = {
+    "compose": (("g", "g_expr"), {
+        "g": (_series_literal, None), "g_expr": (_text, None),
+        "image_variables": (_job_names, lambda n: (
+            ["y"] if n == 1 else [f"y{i + 1}" for i in range(n)]))}),
+    "recover": (("f", "f_expr"), {
+        "f": (_series_literal, None), "f_expr": (_text, None),
+        "target_degree": (_integer(0), None)}),
+    "profile": ((), {}),
+    "stratify": (("grid", "grid_axes"), {
+        "grid": (_grid, None), "grid_axes": (_grid_axes, None),
+        "profile_degree": (_integer(1), None)}),
+    "radius": (("series", "family"), {
+        "series": (_series_literal, None), "family": (_family, None),
+        "window": (_integer(1), 10)}),
+    "verify": ((), {
+        "max_beta": (_max_beta, 2), "monomial_degree": (_integer(1), 4),
+        "extraction_max": (_integer(1, _MAX_EXTRACTION), 3),
+        "roundtrip_degree": (_integer(1), 3), "seed": (_integer(None), 0)}),
+}
 
 
 def load_job(path, command=None):
+    """Read and check every key of a job file before any work."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -498,8 +576,9 @@ def load_job(path, command=None):
             f"job file says command {job_command!r} but {command!r} was requested")
     if job_command not in COMMANDS:
         raise JobError(f"unknown command {job_command!r}")
-    _refuse_unknown(data, _CORE_KEYS | _PAYLOAD_KEYS[job_command] | {"trace"},
-                    f"a {job_command} job")
+    pair, readers = _PAYLOADS[job_command]
+    readers = dict(readers, trace=(_flag, False))
+    _refuse_unknown(data, _CORE_KEYS | set(readers), f"a {job_command} job")
     n = _job_int(data.get("n"), "n", 1, _MAX_N)
     variables = _job_names(data.get("variables"), "variables", n)
     map_exprs = data.get("map")
@@ -508,7 +587,15 @@ def load_job(path, command=None):
         raise JobError(f"map must be a list of {n} expression strings")
     center = _job_point(data.get("center"), "center", n)
     degree = _job_int(data.get("degree"), "degree", 1)
-    payload = {k: v for k, v in data.items() if k not in _CORE_KEYS}
+    if pair and sum(key in data for key in pair) != 1:
+        raise JobError(f"a {job_command} job needs exactly one of "
+                       f"{pair[0]!r} and {pair[1]!r}")
+    payload = {}
+    for key, (read, default) in readers.items():
+        if key in data:
+            payload[key] = read(data[key], key, n)
+        elif key not in pair:
+            payload[key] = default(n) if callable(default) else default
     return JobSpec(command=job_command, n=n, variables=variables,
                    map_exprs=list(map_exprs), center=center, degree=degree,
                    payload=payload)
@@ -518,15 +605,10 @@ def load_job(path, command=None):
 
 
 class _JobContext:
-    def __init__(self, job, out_dir, window=None, trace=False):
+    def __init__(self, job, out_dir, trace=False):
         self.job = job
         self.out = Path(out_dir)
-        self.window = (_job_int(window, "--window", 1) if window is not None
-                       else _job_opt_int(job.payload, "window", 10, 1))
-        payload_trace = job.payload.get("trace", False)
-        if not isinstance(payload_trace, bool):
-            raise JobError(f"trace must be true or false, got {payload_trace!r}")
-        self.trace = trace or payload_trace
+        self.trace = trace or job.payload["trace"]
         self.pmap = PolynomialMap(
             [parse_expression(e, job.variables) for e in job.map_exprs])
 
@@ -540,33 +622,13 @@ class _JobContext:
         return profile(self.germ(max(self.job.degree,
                                      self.pmap.default_profile_degree())))
 
-    def image_variables(self):
-        n = self.job.n
-        if "image_variables" in self.job.payload:
-            return _job_names(self.job.payload["image_variables"],
-                              "image_variables", n)
-        return ["y"] if n == 1 else [f"y{i + 1}" for i in range(n)]
-
-    def series_payload(self, literal_key, expr_key, *, variables, center,
-                       degree):
-        """A series from either a literal or an expression payload field."""
-        key = _one_of(self.job.payload, literal_key, expr_key)
-        if key is None:
-            raise JobError(f"missing {literal_key!r} (or {expr_key!r}) payload")
-        value = self.job.payload[key]
-        if key == literal_key:
-            return _series_literal(value, repr(key))
-        if not isinstance(value, str):
-            raise JobError(f"{expr_key} must be an expression string")
-        return parse_polynomial(value, variables, center, degree)
-
 
 def _cmd_compose(ctx):
-    germ = ctx.germ()
-    g = ctx.series_payload("g", "g_expr", variables=ctx.image_variables(),
-                           center=germ.image_point, degree=ctx.job.degree)
-    f = compose(g, germ)
-    return {"command": "compose", "f": series_to_dict(f)}, {}
+    job, germ = ctx.job, ctx.germ()
+    g = job.payload["g"] if "g" in job.payload else parse_polynomial(
+        job.payload["g_expr"], job.payload["image_variables"],
+        germ.image_point, job.degree)
+    return {"command": "compose", "f": series_to_dict(compose(g, germ))}, {}
 
 
 def _cmd_profile(ctx):
@@ -575,10 +637,10 @@ def _cmd_profile(ctx):
 
 def _cmd_recover(ctx):
     job = ctx.job
-    f = ctx.series_payload("f", "f_expr", variables=job.variables,
-                           center=job.center, degree=job.degree)
+    f = job.payload["f"] if "f" in job.payload else parse_polynomial(
+        job.payload["f_expr"], job.variables, job.center, job.degree)
     prof = ctx.profile()
-    target = _job_opt_int(job.payload, "target_degree", None, 0)
+    target = job.payload["target_degree"]
     if target is None:
         target = max_recoverable_degree(prof.mu, f.trunc)
     germ = ctx.germ(max(working_degree(prof.mu, max(target, 1)) + 1, job.degree))
@@ -590,37 +652,10 @@ def _cmd_recover(ctx):
     }, {}
 
 
-def _grid_points(job):
-    payload = job.payload
-    key = _one_of(payload, "grid", "grid_axes")
-    if key == "grid":
-        raw = payload["grid"]
-        if not isinstance(raw, list) or not raw:
-            raise JobError("grid must be a nonempty list of points")
-        return [_job_point(p, "grid point", job.n) for p in raw]
-    if key == "grid_axes":
-        axes = payload["grid_axes"]
-        if (not isinstance(axes, list) or len(axes) != job.n
-                or any(not isinstance(a, list) or not a for a in axes)):
-            raise JobError(f"grid_axes must list {job.n} nonempty axes")
-        count = math.prod(len(axis) for axis in axes)
-        if count > _MAX_GRID_POINTS:
-            raise JobError(f"grid_axes spans {count} points, more than the "
-                           f"limit of {_MAX_GRID_POINTS}")
-        exact_axes = [[_exact_from_json(c, "grid_axes") for c in axis]
-                      for axis in axes]
-        points = [()]
-        for axis in exact_axes:
-            points = [p + (c,) for p in points for c in axis]
-        return points
-    raise JobError("stratify needs a 'grid' or 'grid_axes' payload")
-
-
 def _cmd_stratify(ctx):
     job = ctx.job
-    points = _grid_points(job)
-    degree = _job_opt_int(job.payload, "profile_degree", None, 1)
-    strat = stratify(ctx.pmap, points, degree=degree)
+    points = job.payload.get("grid") or job.payload["grid_axes"]
+    strat = stratify(ctx.pmap, points, degree=job.payload["profile_degree"])
     report = {
         "command": "stratify",
         "computed_at_degree": strat.computed_at_degree,
@@ -653,11 +688,9 @@ def _fit_entry(rows, x, y):
 
 def _cmd_radius(ctx):
     job = ctx.job
-    window = ctx.window
-    key = _one_of(job.payload, "series", "family")
-    if key == "series":
-        series = _series_literal(job.payload["series"], "'series'")
-        est = estimate_radius(series, window=window)
+    window = job.payload["window"]
+    if "series" in job.payload:
+        est = estimate_radius(job.payload["series"], window=window)
         report = {
             "command": "radius",
             "window": est.window,
@@ -666,32 +699,18 @@ def _cmd_radius(ctx):
             "note": est.note,
         }
         return report, {"shells.csv": shells_to_csv(est)}
-    family = job.payload.get("family")
-    if not isinstance(family, list) or not family:
-        raise JobError("radius needs a 'series' or a nonempty 'family' payload")
     members = []
     csv_parts = ["label,degree,shell_value"]
     fit_rows = []
-    for idx, member in enumerate(family):
-        if not isinstance(member, dict):
-            raise JobError(f"family[{idx}] must be an object")
-        _refuse_unknown(member, _MEMBER_KEYS, f"family[{idx}]")
-        t_val = (_exact_from_json(member["t"], f"family[{idx}].t")
-                 if "t" in member else None)
+    for idx, (t_val, member) in enumerate(job.payload["family"]):
         row = {"t": str(Fraction(t_val)) if t_val is not None else None}
-        radii = {}
-        for key in ("f", "g"):
-            if key not in member:
-                continue
-            series = _series_literal(member[key], f"in family[{idx}].{key}")
+        for key, series in member.items():
             est = estimate_radius(series, window=window)
-            radii[key] = est.estimate
             row[f"r_{key}"] = est.estimate
-            label = f"{idx}:{key}"
             csv_parts.extend(
-                f"{label},{d},{v!r}" for d, v in est.per_shell)
+                f"{idx}:{key},{d},{v!r}" for d, v in est.per_shell)
         members.append(row)
-        fit_rows.append((t_val, radii.get("f"), radii.get("g")))
+        fit_rows.append((t_val, row.get("r_f"), row.get("r_g")))
     fits = {}
     if all(rf is not None and rg is not None for _, rf, rg in fit_rows):
         fits["log_rg_vs_log_rf"] = _fit_entry(
@@ -719,12 +738,8 @@ def _random_series(rng, n, center, degree, trunc=None):
 
 def _cmd_verify(ctx):
     job = ctx.job
-    payload = job.payload
-    max_beta = _job_opt_int(payload, "max_beta", 2, 1)
-    monomial_degree = _job_opt_int(payload, "monomial_degree", 4, 1)
-    extraction_max = _job_opt_int(payload, "extraction_max", 3, 1)
-    roundtrip_degree = _job_opt_int(payload, "roundtrip_degree", 3, 1)
-    seed = _job_opt_int(payload, "seed", 0)
+    max_beta, extraction_max, roundtrip_degree = (job.payload[key] for key in (
+        "max_beta", "extraction_max", "roundtrip_degree"))
     mu = ctx.profile().mu
     work = working_degree(mu, max(max_beta, roundtrip_degree))
     germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
@@ -732,7 +747,7 @@ def _cmd_verify(ctx):
     germ = ctx.germ(germ_degree)
     table = build_t_operators(germ, max_beta, work_degree=work)
     prof = table.profile
-    rng = random.Random(seed)
+    rng = random.Random(job.payload["seed"])
     b = germ.image_point
     g_rand = _random_series(rng, job.n, b, 3)
     checks = []
@@ -755,7 +770,7 @@ def _cmd_verify(ctx):
                        for j in range(job.n)) for i in range(job.n))
     record("adjugate_identity", matmul(jac, adj) == want == matmul(adj, jac),
            "J·adj and adj·J against det·I")
-    results = verify_identity_on_monomials(table, monomial_degree)
+    results = verify_identity_on_monomials(table, job.payload["monomial_degree"])
     record("defining_identity", all(r[2] for r in results),
            f"{len(results)} (beta, monomial) pairs")
     bounds = verify_order_bound(table)
@@ -798,7 +813,9 @@ def run_job(job, out_dir, degree_override=None, window_override=None,
     """Run one job, write report.json (and any CSV files), return the report."""
     if degree_override is not None:
         job.degree = _job_int(degree_override, "--degree", 1)
-    ctx = _JobContext(job, out_dir, window=window_override, trace=trace)
+    if window_override is not None:
+        job.payload["window"] = _job_int(window_override, "--window", 1)
+    ctx = _JobContext(job, out_dir, trace=trace)
     report, files = _HANDLERS[job.command](ctx)
     ctx.out.mkdir(parents=True, exist_ok=True)
     (ctx.out / "report.json").write_text(

@@ -441,9 +441,12 @@ def compose(g, germ):
                 "map component has a nonzero deviation at the centre")
     den, devs = _cleared(devs)
     weights = {}  # g_κ / den^|κ| in lowest terms: (numerator, denominator)
+    scales = [1]  # den^d, one product per degree up to g's top degree
+    for _ in range(min(t, max(map(sum, g.coeffs), default=0))):
+        scales.append(scales[-1] * den)
     for kappa, c in g.coeffs.items():
         if sum(kappa) <= t:
-            scale = den ** sum(kappa)
+            scale = scales[sum(kappa)]
             r = math.gcd(c.numerator, scale)
             weights[kappa] = c.numerator // r, c.denominator * (scale // r)
     order = sorted(weights, key=grlex_key)

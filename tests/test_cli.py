@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,11 @@ from pathlib import Path
 import pytest
 
 from germradius import JobError, ParseError, series_from_dict, series_to_dict
+from germradius import cli
 from germradius.cli import (
+    _MAX_BETAS,
+    _MAX_EXTRACTION,
+    _PAYLOADS,
     load_job,
     main,
     parse_expression,
@@ -517,6 +522,19 @@ _NUMBER_JOBS = {
     pytest.param("stratify", {"profile_degree": None}, [], "profile_degree",
                  id="profile_degree-null"),
     pytest.param("verify", {"seed": None}, [], "seed", id="seed-null"),
+    pytest.param("verify", {"monomial_degree": 0}, [], "monomial_degree",
+                 id="monomial_degree-zero"),
+    pytest.param("verify", {"monomial_degree": 2.0}, [], "monomial_degree",
+                 id="monomial_degree-float"),
+    pytest.param("verify", {"extraction_max": "3"}, [], "extraction_max",
+                 id="extraction_max-string"),
+    pytest.param("verify", {"extraction_max": None}, [], "extraction_max",
+                 id="extraction_max-null"),
+    # caps: in one variable max_beta is the beta count itself
+    pytest.param("verify", {"max_beta": _MAX_BETAS + 1}, [], "max_beta",
+                 id="max_beta-over-cap"),
+    pytest.param("verify", {"extraction_max": _MAX_EXTRACTION + 1}, [],
+                 "extraction_max", id="extraction_max-over-cap"),
 ])
 def test_exit_code_2_on_bad_job_number(tmp_path, capsys, command, patch,
                                        flags, field):
@@ -735,9 +753,113 @@ def test_recover_defaults_to_max_recoverable(tmp_path):
 
 
 def test_grid_axes_at_the_cap_are_admitted(tmp_path):
-    from germradius.cli import _grid_points
     axes = [[str(k) for k in range(100)], [str(k) for k in range(100)]]
     job = load_job(write_job(tmp_path, **dict(_TWO_D, command="stratify",
                                               grid_axes=axes)))
-    points = _grid_points(job)
+    points = job.payload["grid_axes"]
     assert len(points) == 10_000 and points[101] == (1, 1)
+
+
+@pytest.mark.parametrize("n,admitted", [(1, 30), (2, 6), (3, 3), (4, 2),
+                                        (6, 2)])
+def test_max_beta_cap_counts_the_betas(tmp_path, n, admitted):
+    # comb(n + max_beta, n) - 1 betas, at most _MAX_BETAS of them
+    assert math.comb(n + admitted, n) - 1 <= _MAX_BETAS
+    assert math.comb(n + admitted + 1, n) - 1 > _MAX_BETAS
+    names = [f"x{i}" for i in range(n)]
+    job = dict(command="verify", n=n, variables=names, map=names,
+               center=["0"] * n, degree=4)
+    path = write_job(tmp_path, **dict(job, max_beta=admitted))
+    assert load_job(path).payload["max_beta"] == admitted
+    path = write_job(tmp_path, **dict(job, max_beta=admitted + 1))
+    with pytest.raises(JobError, match=f"max_beta must be an integer >= 1 "
+                                       f"and <= {admitted}, got"):
+        load_job(path)
+
+
+_BAD = {"n": 1, "center": ["0"], "degree": 2,
+        "terms": [{"index": [1], "coeff": "1/0"}]}
+
+
+@pytest.mark.parametrize("command,job,named", [
+    pytest.param("compose", dict(_ONE_D, degree=6, g_expr=3), "g_expr",
+                 id="g_expr-number"),
+    pytest.param("compose", dict(_ONE_D, degree=6, g=_BAD), "'g'",
+                 id="g-bad-literal"),
+    pytest.param("recover", dict(_NUMBER_JOBS["recover"], target_degree=-1),
+                 "target_degree", id="target_degree-negative"),
+    pytest.param("stratify", dict(_ONE_D, degree=4, grid=[["1/0"]]),
+                 "grid point", id="grid-zero-denominator"),
+    pytest.param("radius", dict(_NUMBER_JOBS["radius"], window=0), "window",
+                 id="window-zero"),
+    pytest.param("radius", dict(_ONE_D, degree=8, family=[{"f": _BAD}]),
+                 "family[0].f", id="family-bad-literal"),
+    pytest.param("profile", dict(_NUMBER_JOBS["profile"], trace=1), "trace",
+                 id="trace-number"),
+    pytest.param("verify", dict(_NUMBER_JOBS["verify"],
+                                max_beta=_MAX_BETAS + 1),
+                 f"max_beta must be an integer >= 1 and <= {_MAX_BETAS}",
+                 id="max_beta-over-cap"),
+    pytest.param("verify", dict(_NUMBER_JOBS["verify"],
+                                extraction_max=_MAX_EXTRACTION + 1),
+                 f"extraction_max must be an integer >= 1 and <= "
+                 f"{_MAX_EXTRACTION}", id="extraction_max-over-cap"),
+])
+def test_payload_is_read_before_any_work(tmp_path, capsys, monkeypatch,
+                                         command, job, named):
+    # the map and every expression go through parse_expression, so a bad
+    # payload value that reaches the handlers would call it first
+    calls = []
+
+    def parse_expression(*args):
+        calls.append(args)
+        raise AssertionError("an expression was parsed")
+
+    monkeypatch.setattr(cli, "parse_expression", parse_expression)
+    path = write_job(tmp_path, command=command, **job)
+    out = tmp_path / "out"
+    assert main([command, "--job", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and named in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["verify_blowup", "radius_geometric"])
+def test_demo_jobs_spell_out_the_defaults(tmp_path, name):
+    # every optional key these demos write is at its default: without them
+    # the job writes the same bytes, so a default that drifts fails here
+    job = json.loads((_DEMO_JOBS / f"{name}.json").read_text())
+    readers = _PAYLOADS[job["command"]][1]
+    optional = [key for key in job if key in readers
+                and key not in _PAYLOADS[job["command"]][0]]
+    assert optional and all(job[key] == readers[key][1] for key in optional)
+    reports = []
+    for label, fields in (("full", job), ("bare", {
+            k: v for k, v in job.items() if k not in optional})):
+        path = write_job(tmp_path, f"{label}.json", **fields)
+        assert main([job["command"], "--job", str(path),
+                     "--out", str(tmp_path / label)]) == 0
+        reports.append((tmp_path / label / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_readme_table_lists_every_payload_key():
+    lines = (_DEMO_JOBS.parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| command | payload key | default | cap |") + 2
+    listed = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, keys, default, _ = (c.strip() for c in line[1:-1].split("|"))
+        for key in re.findall(r"`(\w+)`", keys):
+            listed.setdefault(command.strip("`"), {})[key] = default
+    want = {command: set(readers)
+            for command, (_, readers) in _PAYLOADS.items() if readers}
+    want["every command"] = {"trace"}
+    assert {command: set(keys) for command, keys in listed.items()} == want
+    # an integer default is spelled out as it stands in the table
+    for command, (_, readers) in _PAYLOADS.items():
+        for key, (_, default) in readers.items():
+            if isinstance(default, int):
+                assert listed[command][key] == str(default), (command, key)
