@@ -58,7 +58,7 @@ from .cramerops import (
 )
 from .recovery import (
     RecoveryReport,
-    extraction_witness,
+    extraction_witnesses,
     max_recoverable_degree,
     recover,
     report_to_dict,

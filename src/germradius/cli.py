@@ -78,7 +78,7 @@ from .radius import (
     stratify,
 )
 from .recovery import (
-    extraction_witness,
+    extraction_witnesses,
     max_recoverable_degree,
     recover,
     report_to_dict,
@@ -375,10 +375,14 @@ def parse_polynomial(text, variables, center=None, degree=None):
 _CORE_KEYS = {"command", "n", "variables", "map", "center", "degree"}
 
 # The most variables a job may have.  The adjugate expands n^2 cofactors by
-# Laplace, about n·n! series products: a profile of the identity map at
-# degree 2 took 0.16 s at n = 6, 0.43 s at n = 7 and 2.6 s at n = 8, and
-# one at n = 12 did not finish in 30 s; a default verify took 0.27 s at
-# n = 6 (whole runs with start-up, Python 3.11 on 2 shared cores).
+# Laplace in the packed kernel, about n·n! products where the entries are
+# dense; it skips the zero entries of a minor's first row.  A profile at
+# degree 2 of the identity map took 0.17 s at n = 6, 0.16 s at n = 7,
+# 0.14 s at n = 8 and 0.20 s at n = 12, and a default verify of it 0.16 s
+# at n = 6; of a dense mu = 1 map (perfbench's random_map, seed 1) the
+# profile took 2.2 s at n = 6 and 34 s at n = 7 (whole runs with start-up,
+# Python 3.11 on 2 shared cores).  The verify jobs under _MAX_BETAS bound
+# n as well.
 _MAX_N = 6
 
 # The most points a ``grid_axes`` product may have: 100 x 100 axes stratify
@@ -399,11 +403,13 @@ _MAX_GRID_POINTS = 10_000
 # at n = 6, 2 took 1.35 s and 4 (209) 16 s.  Only a cap on n refuses those.
 _MAX_BETAS = 30
 
-# The largest extraction_max: verify builds delta^(2m - 1) afresh for each
-# m up to it, and the power's lowest form has more terms as n grows.  On the
-# dense mu = 1 maps above at max_beta 1, extraction_max 10 took 0.27 s at
-# n = 3, 0.49 s at n = 4 and 3.1 s at n = 5 (1.4 s at the default 3), the
-# slowest measured it admits; 20 took 2.0 s at n = 3 and 24 s at n = 4.
+# The largest extraction_max: verify builds delta, delta^3, ... as one
+# chain, each power the last times delta², all capped at
+# (2·extraction_max − 1)·mu, and the powers have more terms as n grows.  On
+# the dense mu = 1 maps above at max_beta 1, extraction_max 10 took 0.24 s
+# at n = 3, 0.38 s at n = 4 and 2.1 s at n = 5 (1.2 s at the default 3),
+# the slowest measured it admits; 20 took 0.52 s at n = 3 and 13 s at n = 4
+# (whole runs with start-up, Python 3.11 on 2 shared cores).
 _MAX_EXTRACTION = 10
 
 
@@ -776,7 +782,7 @@ def _cmd_verify(ctx):
     bounds = verify_order_bound(table)
     record("order_bound", all(c.passed for c in bounds),
            f"{len(bounds)} table entries")
-    witnesses = [extraction_witness(prof, m) for m in range(1, extraction_max + 1)]
+    witnesses = extraction_witnesses(prof, extraction_max)
     record("extraction", all(wt.passed for wt in witnesses),
            f"pivot structure for m <= {extraction_max}")
     g0 = _random_series(rng, job.n, b, roundtrip_degree, trunc=germ.trunc - 1)

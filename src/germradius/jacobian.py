@@ -4,11 +4,14 @@ A matrix is a tuple of rows of ``TruncatedSeries``: entry (i, j) is
 ``m[i][j]``.  Its entries share dimension and centre; a product of entries
 of different truncations takes the smaller, as every series product does.
 The adjugate is the transposed cofactor matrix, the unique matrix with
-J · adj(J) = adj(J) · J = det(J) · I.  For a 1x1 matrix the adjugate is the
-constant [1] (empty-minor convention), which forces the adjugate vanishing
-order to 0 in one variable and thereby pins the scaling exponent of the
-one-variable fixtures.  The determinant is the first-row Laplace sum
-Σ_j J[0][j] · adj[j][0] over the cofactors the adjugate already holds.
+J · adj(J) = adj(J) · J = det(J) · I.  Each cofactor is the Laplace
+expansion of its minor, run in the packed product kernel of ``pseries``:
+the entries are packed once, and each cofactor is unpacked once.  For a
+1x1 matrix the adjugate is the constant [1] (empty-minor convention),
+which forces the adjugate vanishing order to 0 in one variable and thereby
+pins the scaling exponent of the one-variable fixtures.  The determinant is
+the first-row Laplace sum Σ_j J[0][j] · adj[j][0] over the cofactors the
+adjugate already holds.
 One helper reads (mu, alpha, nu) off the coefficients of the determinant
 and the adjugate entries; ``radius.stratify`` reads its grid points with it.
 
@@ -22,7 +25,16 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SingularJacobianError, TruncationError
 from .mindex import grlex_key, mi_factorial, unit
-from .pseries import TruncatedSeries, _sum_of_products, as_exact, rational_str
+from .pseries import (
+    TruncatedSeries,
+    _packed,
+    _products_into,
+    _sorted_terms,
+    _sum_of_products,
+    _unpacked,
+    as_exact,
+    rational_str,
+)
 
 
 def jacobian_matrix(germ):
@@ -46,27 +58,56 @@ def matmul(a, b):
                  for row in a)
 
 
-def _det(rows):
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    return _sum_of_products(
-        (-rows[0][j] if j % 2 else rows[0][j],
-         _det([[row[c] for c in range(k) if c != j] for row in rows[1:]]))
-        for j in range(k))
-
-
 def adjugate(m):
-    """Transposed cofactor matrix; [1] for 1x1 by the empty-minor convention."""
+    """Transposed cofactor matrix; [1] for 1x1 by the empty-minor convention.
+
+    Each cofactor is the Laplace expansion of its minor along the minor's
+    first row, with the truncation the series expansion gives it: the
+    minimum over the minor's entries.  Every entry is packed once, at the
+    shift of the largest truncation; the signs are folded into the
+    first-row coefficients, every product of the expansion runs in the
+    packed kernel at the cofactor's cap, and each cofactor is unpacked
+    once.  The cofactors of a 2x2 matrix are its entries, two negated."""
     k = len(m)
+    first = m[0][0]
+    n, center = first.n, first.center
     if k == 1:
-        e = m[0][0]
-        return ((TruncatedSeries.constant(1, e.n, e.center, e.trunc),),)
+        return ((TruncatedSeries.constant(1, n, center, first.trunc),),)
+    if k == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
+    for row in m:
+        for e in row:
+            first._require_same_frame(e)
+    shift = max(e.trunc for row in m for e in row).bit_length() or 1
+    packed = [[_packed(e.coeffs, shift, e.trunc) for e in row] for row in m]
+    negated = [[[(key, -c) for key, c in terms] for terms in row]
+               for row in packed]
+
+    def laplace_into(acc, rows, cols, odd, limit):
+        """Add (−1)^odd · det of m's rows × cols into ``acc``."""
+        top, rest = rows[0], rows[1:]
+        for idx, col in enumerate(cols):
+            head = (negated if (odd + idx) % 2 else packed)[top][col]
+            if not head:
+                continue
+            others = cols[:idx] + cols[idx + 1:]
+            if len(rest) == 1:
+                minor = packed[rest[0]][others[0]]
+            else:
+                sub = {}
+                laplace_into(sub, rest, others, 0, limit)
+                minor = _sorted_terms(sub)
+            _products_into(acc, head, minor, limit)
 
     def cofactor(i, j):
-        term = _det([[row[c] for c in range(k) if c != i]
-                     for r, row in enumerate(m) if r != j])
-        return -term if (i + j) % 2 else term
+        rows = [r for r in range(k) if r != j]
+        cols = [c for c in range(k) if c != i]
+        t = min(m[r][c].trunc for r in rows for c in cols)
+        acc = {}
+        laplace_into(acc, rows, cols, (i + j) % 2, (t + 1) << n * shift)
+        return TruncatedSeries._raw(n, center, t,
+                                    _unpacked(acc.items(), n, shift))
 
     return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 

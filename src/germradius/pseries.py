@@ -9,7 +9,8 @@ silent zero.  Coefficients are exact — Python ints or ``fractions.Fraction``
 between the two transparently).  Floating point never appears here.
 
 Truncation propagates through arithmetic as the min of the operand degrees;
-differentiation of order alpha lowers it by |alpha|; composition keeps the
+differentiation of order alpha lowers it by |alpha| (one loop over the
+terms, touching only alpha's nonzero coordinates); composition keeps the
 min of the series and map degrees, which is sound because every substituted
 component vanishes at the centre, so deeper coefficients of the outer series
 cannot reach down.  ``compose`` clears denominators once: its products and
@@ -63,6 +64,13 @@ def as_exact(value):
 def rational_str(value):
     """Canonical lowest-terms string: '7', '-3/2', '0'."""
     return str(Fraction(value))
+
+
+def _valid_trunc(trunc):
+    """``trunc`` if it is a truncation degree: an int >= 0."""
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
+        raise TruncationError(f"truncation degree must be >= 0, got {trunc}")
+    return trunc
 
 
 def _clean_coeffs(coeffs, n, trunc=None):
@@ -176,11 +184,9 @@ class TruncatedSeries:
         if len(center) != n:
             raise DimensionMismatch(
                 f"centre has {len(center)} coordinates for dimension {n}")
-        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
-            raise TruncationError(f"truncation degree must be >= 0, got {trunc}")
         self.n = n
         self.center = center
-        self.trunc = trunc
+        self.trunc = _valid_trunc(trunc)
         self.coeffs = _clean_coeffs(coeffs, n, trunc)
 
     @classmethod
@@ -291,7 +297,10 @@ class TruncatedSeries:
         return _sum_of_products(((self, other),), upto)
 
     def derive(self, alpha):
-        """Formal derivative of mixed order ``alpha``; lowers trunc by |alpha|."""
+        """Formal derivative of mixed order ``alpha``; lowers trunc by |alpha|.
+
+        One loop over the terms touches only alpha's nonzero coordinates;
+        each factor γ_i!/(γ_i − α_i)! is ``math.perm(γ_i, α_i)``."""
         alpha = validate_index(alpha, self.n)
         total = sum(alpha)
         if total > self.trunc:
@@ -300,16 +309,19 @@ class TruncatedSeries:
                 needed_degree=total)
         if total == 0:
             return self
+        steps = [(i, a) for i, a in enumerate(alpha) if a]
+        perm = math.perm
         out = {}
         for g, c in self.coeffs.items():
-            ng = tuple(x - y for x, y in zip(g, alpha))
-            if any(e < 0 for e in ng):
-                continue
-            factor = 1
-            for base, step in zip(ng, alpha):
-                for k in range(base + 1, base + step + 1):
-                    factor *= k
-            out[ng] = c * factor
+            ng = list(g)
+            for i, a in steps:
+                e = g[i]
+                if e < a:
+                    break
+                ng[i] = e - a
+                c *= perm(e, a)
+            else:
+                out[tuple(ng)] = c
         return TruncatedSeries._raw(self.n, self.center, self.trunc - total, out)
 
     # -- comparison / repr --------------------------------------------------

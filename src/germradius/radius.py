@@ -4,6 +4,8 @@ and exact stratification of polynomial maps by their vanishing invariants.
 Stratification builds the map's Jacobian determinant and adjugate entries,
 which are polynomials, once per call, and reads every grid point off their
 exact Taylor shifts to that point, cut at the degree the invariants read.
+One shift serves the whole sweep, so grid points that share a coordinate
+value share its binomial rows and powers.
 
 This is the only module where floating point appears; everything upstream is
 exact.  Shell values are computed from exact coefficient magnitudes through
@@ -24,16 +26,17 @@ from .errors import (
     TruncationError,
 )
 from .jacobian import _invariants, profile
-from .polymap import _exact_point, _shifted
+from .polymap import _TaylorShift, _exact_point
 from .pseries import rational_str
 
 _FLOAT_NOTE = "float64 shell values from exact magnitudes via base-2 logarithms"
 
 
-def _log2_magnitude(value):
-    """log2 |value| of an int or Fraction, from its numerator and
-    denominator."""
-    return math.log2(abs(value.numerator)) - math.log2(value.denominator)
+def _log2_magnitude(pair):
+    """log2 of the magnitude |numerator| / denominator held as a pair of
+    ints."""
+    num, den = pair
+    return math.log2(num) - math.log2(den)
 
 
 @dataclass(eq=False)
@@ -55,15 +58,28 @@ def estimate_radius(series, window=10):
     """
     if not isinstance(window, int) or isinstance(window, bool) or window < 1:
         raise ValueError(f"window must be a positive int, got {window!r}")
-    shell_max = {}
+    # per shell, the largest |c| as the pair (|numerator|, denominator):
+    # int coefficients compare as ints, the others by cross-multiplication
+    whole, frac = {}, {}
     for g, c in series.coeffs.items():
         d = sum(g)
         if d == 0:
             continue
-        m = abs(c)
+        if type(c) is int:
+            m = abs(c)
+            cur = whole.get(d)
+            if cur is None or m > cur:
+                whole[d] = m
+        else:
+            num, den = abs(c.numerator), c.denominator
+            cur = frac.get(d)
+            if cur is None or num * cur[1] > cur[0] * den:
+                frac[d] = num, den
+    shell_max = {d: (m, 1) for d, m in whole.items()}
+    for d, (num, den) in frac.items():
         cur = shell_max.get(d)
-        if cur is None or m > cur:
-            shell_max[d] = m
+        if cur is None or num > cur[0] * den:
+            shell_max[d] = num, den
     degrees = sorted(shell_max)
     if len(degrees) < 2 * window:
         raise InsufficientShellsError(
@@ -175,12 +191,15 @@ def stratify(pmap, grid, degree=None):
         delta = prof.delta.coeffs
         adj = [e.coeffs for row in prof.adjugate for e in row]
     top = degree - 1
+    shift = _TaylorShift(n, top, [delta] + adj)
     buckets = {}
     singular = []
     for raw_point in grid:
         point = _exact_point(raw_point, n)
-        found = _invariants(_shifted(delta, point, top),
-                            (_shifted(e, point, top) for e in adj), top)
+        # _invariants reads only where terms are nonzero, so no division;
+        # it reads the adjugate entries, and they are shifted, only at mu > 0
+        found = _invariants(shift.numerators(delta, point)[0],
+                            (shift.numerators(e, point)[0] for e in adj), top)
         if found is None:
             singular.append(point)
             continue

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CenterMismatch, DimensionMismatch, TruncationError
-from .cramerops import _delta_power, iter_h_levels, working_degree
+from .cramerops import iter_h_levels, working_degree
 from .jacobian import profile
 from .mindex import grlex_key, mi_factorial, scale
 from .pseries import (
@@ -171,30 +171,41 @@ class ExtractionWitness:
                 and self.pivot_coefficient == self.expected_coefficient)
 
 
-def extraction_witness(prof, m):
-    """Check the pivot structure of delta^(2m-1): minimal graded-lex index
-    (2m-1)·alpha at minimal degree (2m-1)·mu, with coefficient equal to the
-    alpha-coefficient of delta raised to the 2m-1."""
-    if m < 1:
+def extraction_witnesses(prof, max_m):
+    """Check the pivot structure of delta^(2m-1) for m = 1..max_m: minimal
+    graded-lex index (2m-1)·alpha at minimal degree (2m-1)·mu, with
+    coefficient equal to the alpha-coefficient of delta raised to the 2m-1.
+
+    The odd powers delta, delta^3, ... are one chain, each the last times
+    delta², all capped at (2·max_m − 1)·mu; witness m reads its power
+    truncated to (2m−1)·mu, which holds the whole pivot structure."""
+    if max_m < 1:
         raise ValueError("exponent level must be >= 1")
-    target_degree = (2 * m - 1) * prof.mu
-    if prof.delta.trunc < target_degree:
+    cap = (2 * max_m - 1) * prof.mu
+    if prof.delta.trunc < cap:
         raise TruncationError(
             f"determinant truncation {prof.delta.trunc} below pivot degree "
-            f"{target_degree}", needed_degree=target_degree)
-    power = _delta_power(prof.delta, 2 * m - 1, upto=target_degree)
-    min_index = min(power.coeffs, key=grlex_key)
-    expected_index = scale(prof.alpha, 2 * m - 1)
-    return ExtractionWitness(
-        m=m,
-        min_index=min_index,
-        min_degree=sum(min_index),
-        pivot_coefficient=power.coeffs[min_index],
-        expected_index=expected_index,
-        expected_degree=target_degree,
-        expected_coefficient=as_exact(
-            Fraction(prof.delta.coeffs[prof.alpha]) ** (2 * m - 1)),
-    )
+            f"{cap}", needed_degree=cap)
+    power = prof.delta.truncated(cap)
+    square = power.mul(power) if max_m > 1 else None
+    pivot = Fraction(prof.delta.coeffs[prof.alpha])
+    witnesses = []
+    for m in range(1, max_m + 1):
+        if m > 1:
+            power = power.mul(square)
+        exponent = 2 * m - 1
+        low = power.truncated(exponent * prof.mu).coeffs
+        min_index = min(low, key=grlex_key)
+        witnesses.append(ExtractionWitness(
+            m=m,
+            min_index=min_index,
+            min_degree=sum(min_index),
+            pivot_coefficient=low[min_index],
+            expected_index=scale(prof.alpha, exponent),
+            expected_degree=exponent * prof.mu,
+            expected_coefficient=as_exact(pivot ** exponent),
+        ))
+    return witnesses
 
 
 def report_to_dict(report):

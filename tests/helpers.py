@@ -2,13 +2,15 @@
 the exponent-dict sum, product and power, the atom-by-atom expression
 parser built on them that tests check ``parse_expression`` against, the
 reference product and composition that tests check
-``TruncatedSeries.mul`` and ``compose`` against, the table-based operator
-sum that tests check the H recurrence against, the whole streamed sums
-whose pivots tests check ``iter_h_levels`` against, the row-by-row operator
-table that tests check the level builder against, the monomial-by-monomial
-identity records that tests check the exponential certificate against, the
-point-by-point stratification that tests check ``stratify`` against, and
-the identity matrix as rows of series."""
+``TruncatedSeries.mul`` and ``compose`` against, the series Laplace
+determinant and adjugate that tests check the packed ``adjugate``
+against, the table-based operator sum that tests check the H recurrence
+against, the whole streamed sums whose pivots tests check
+``iter_h_levels`` against, the row-by-row operator table that tests check
+the level builder against, the monomial-by-monomial identity records that
+tests check the exponential certificate against, the point-by-point
+stratification that tests check ``stratify`` against, and the identity
+matrix as rows of series."""
 
 from fractions import Fraction
 
@@ -229,6 +231,34 @@ def reference_compose(g, germ):
         for gamma, v in power.coeffs.items():
             out[gamma] = out.get(gamma, 0) + c * v
     return TruncatedSeries(germ.n, germ.center, t, out)
+
+
+def series_det(rows):
+    """Determinant of rows of series by Laplace expansion along the first
+    row, each step one series sum of products: the oracle for the packed
+    cofactors of ``adjugate``."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    return _sum_of_products(
+        (-rows[0][j] if j % 2 else rows[0][j],
+         series_det([[row[c] for c in range(k) if c != j] for row in rows[1:]]))
+        for j in range(k))
+
+
+def reference_adjugate(m):
+    """Transposed cofactor matrix from ``series_det`` minors, [1] for 1x1."""
+    k = len(m)
+    if k == 1:
+        e = m[0][0]
+        return ((TruncatedSeries.constant(1, e.n, e.center, e.trunc),),)
+
+    def cofactor(i, j):
+        term = series_det([[row[c] for c in range(k) if c != i]
+                           for r, row in enumerate(m) if r != j])
+        return -term if (i + j) % 2 else term
+
+    return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 
 
 def identity_matrix(n_vars, center, trunc, size):

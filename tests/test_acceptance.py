@@ -21,7 +21,7 @@ from germradius import (
     chain_rule_residuals,
     compose,
     estimate_radius,
-    extraction_witness,
+    extraction_witnesses,
     jacobian_matrix,
     matmul,
     profile,
@@ -151,8 +151,7 @@ def test_criterion_3_extraction_lemma():
                             (blowup_germ(degree=8), (1, 0))):
             prof = profile(germ)
             assert prof.alpha == alpha
-            for m in range(1, 5):
-                wt = extraction_witness(prof, m)
+            for m, wt in enumerate(extraction_witnesses(prof, 4), start=1):
                 assert wt.passed
                 assert wt.min_degree == (2 * m - 1) * prof.mu
                 assert wt.pivot_coefficient == (

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,8 @@ from helpers import (
     identity_germ,
     identity_matrix,
     random_map,
+    random_series,
+    reference_adjugate,
     series_of,
     square_germ,
 )
@@ -90,6 +93,31 @@ def test_identity_map_determinant():
     jac = jacobian_matrix(identity_germ(2, degree=6))
     assert profile(identity_germ(2, degree=6)).delta.coeffs == {(0, 0): 1}
     assert adjugate(jac) == identity_matrix(2, (0, 0), 5, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_packed_adjugate_matches_series_laplace(k):
+    # rational entries about a rational centre, each with its own
+    # truncation: every cofactor keeps the smallest truncation among its
+    # minor's entries, as the series Laplace expansion gives it
+    rng = random.Random(300 + k)
+    center = (Fraction(1, 2), -1)
+    for _ in range(5):
+        m = []
+        for r in range(k):
+            row = []
+            for c in range(k):
+                t = rng.randint(1, 2) + r + c
+                coeffs = random_series(rng, 2, t, density=0.5).coeffs
+                row.append(TruncatedSeries(2, center, t, {
+                    g: Fraction(c, rng.randint(1, 4))
+                    for g, c in coeffs.items()}))
+            m.append(tuple(row))
+        m = tuple(m)
+        got = adjugate(m)
+        assert got == reference_adjugate(m)
+        if k > 2:
+            assert len({e.trunc for row in got for e in row}) > 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

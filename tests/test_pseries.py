@@ -348,6 +348,52 @@ def test_derive_order_checks():
         s.derive((3,))
 
 
+def _reference_derive(coeffs, alpha):
+    """Termwise derivative: a term some order of alpha exceeds is dropped,
+    and the rest is multiplied by its falling factorials one factor at a
+    time."""
+    out = {}
+    for g, c in coeffs.items():
+        if any(e < a for e, a in zip(g, alpha)):
+            continue
+        for e, a in zip(g, alpha):
+            for k in range(e - a + 1, e + 1):
+                c *= k
+        out[tuple(e - a for e, a in zip(g, alpha))] = c
+    return out
+
+
+@st.composite
+def _series_and_order(draw):
+    (s,), _ = draw(_series_in_one_frame(1))
+    return s, tuple(draw(st.lists(st.integers(0, 4), min_size=s.n,
+                                  max_size=s.n)))
+
+
+@_PROPERTY
+@given(_series_and_order())
+def test_derive_matches_termwise_reference(drawn):
+    s, alpha = drawn
+    total = sum(alpha)
+    if total > s.trunc:
+        with pytest.raises(TruncationError) as err:
+            s.derive(alpha)
+        assert err.value.needed_degree == total
+        return
+    got = s.derive(alpha)
+    assert got.trunc == s.trunc - total
+    assert got.coeffs == _reference_derive(s.coeffs, alpha)
+    if not total:
+        assert got is s
+
+
+def test_derive_drops_the_terms_an_order_zeroes():
+    s = S({(1, 3): Fraction(1, 2), (2, 0): 5, (3, 2): -1}, n=2, trunc=6)
+    assert s.derive((2, 1)).coeffs == {(1, 1): -12}
+    assert s.derive((0, 4)).coeffs == {}
+    assert s.derive((0, 4)).trunc == 2
+
+
 def test_derive_composes_additively():
     rng = random.Random(3)
     s = random_series(rng, 2, 6)

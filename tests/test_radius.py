@@ -89,6 +89,29 @@ def test_root_test_exact_on_geometric_shells():
     assert est.estimate == pytest.approx(float(rho), rel=0.05)
 
 
+def test_shell_maxima_match_the_fraction_reference():
+    # shells of mixed int and rational coefficients of either sign, with
+    # equal magnitudes in one shell: each shell value is the one the
+    # largest |c| as a Fraction gives, to the bit
+    rng = random.Random(11)
+    coeffs = {}
+    for d in range(1, 31):
+        for i in range(d + 1):
+            c = rng.choice([rng.randint(-50, 50),
+                            Fraction(rng.randint(-9 ** d, 9 ** d),
+                                     rng.randint(1, 7 ** d))])
+            if c:
+                coeffs[(i, d - i)] = c
+        coeffs[(0, d)] = -coeffs.get((d, 0), 1)
+    s = TruncatedSeries(2, (0, 0), 30, coeffs)
+    want = []
+    for d in range(1, 31):
+        top = max(abs(Fraction(c)) for g, c in coeffs.items() if sum(g) == d)
+        log2 = math.log2(top.numerator) - math.log2(top.denominator)
+        want.append((d, 2.0 ** (-log2 / d)))
+    assert estimate_radius(s).per_shell == want
+
+
 def test_bound_report_square_family():
     germ = square_germ(degree=8)
     prof = profile(germ)

@@ -13,14 +13,15 @@ from germradius import (
     build_t_operators,
     compose,
     enumerate_upto,
-    extraction_witness,
+    extraction_witnesses,
     max_recoverable_degree,
     profile,
     recover,
     report_to_dict,
     working_degree,
 )
-from germradius.cramerops import iter_h_levels
+from germradius.cramerops import _delta_power, iter_h_levels
+from germradius.mindex import grlex_key
 from helpers import (
     assemble_H,
     blowup_germ,
@@ -271,18 +272,34 @@ def test_recover_refuses_a_bool_target_before_any_work(monkeypatch, target):
 def test_extraction_witness_fixtures(germ_builder, alpha):
     prof = profile(germ_builder())
     assert prof.alpha == alpha
-    for m in range(1, 5):
-        wt = extraction_witness(prof, m)
+    for m, wt in enumerate(extraction_witnesses(prof, 4), start=1):
+        assert wt.m == m
         assert wt.passed
         assert wt.min_degree == (2 * m - 1) * prof.mu
         assert wt.min_index == tuple(e * (2 * m - 1) for e in prof.alpha)
         assert wt.pivot_coefficient == prof.delta.coeffs[prof.alpha] ** (2 * m - 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extraction_witnesses_match_each_power_built_alone(n):
+    # the chained powers, truncated to (2m-1)·mu, against delta^(2m-1)
+    # built from delta at that cap for each m on its own
+    rng = random.Random(40 + n)
+    for singular in (False, True):
+        prof = profile(random_map(rng, n, trunc=13, singular=singular))
+        max_m = 6 // max(prof.mu, 1)
+        for wt in extraction_witnesses(prof, max_m):
+            cap = (2 * wt.m - 1) * prof.mu
+            power = _delta_power(prof.delta, 2 * wt.m - 1, upto=cap).coeffs
+            low = min(power, key=grlex_key)
+            assert (wt.min_index, wt.pivot_coefficient) == (low, power[low])
+            assert wt.passed
+
+
 def test_extraction_witness_needs_truncation():
     prof = profile(cube_germ(degree=8))  # delta trunc 7 < 7*mu = 14
     with pytest.raises(TruncationError):
-        extraction_witness(prof, 4)
+        extraction_witnesses(prof, 4)
 
 
 # -- full recovery ------------------------------------------------------------
