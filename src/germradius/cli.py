@@ -59,6 +59,7 @@ from .polymap import Polynomial, PolynomialMap
 from .pseries import (
     TruncatedSeries,
     _add_into,
+    _chain_parts,
     _json_rational,
     _products_into,
     _scaled,
@@ -375,14 +376,13 @@ def parse_polynomial(text, variables, center=None, degree=None):
 _CORE_KEYS = {"command", "n", "variables", "map", "center", "degree"}
 
 # The most variables a job may have.  The adjugate expands n^2 cofactors by
-# Laplace in the packed kernel, about n·n! products where the entries are
-# dense; it skips the zero entries of a minor's first row.  A profile at
-# degree 2 of the identity map took 0.17 s at n = 6, 0.16 s at n = 7,
-# 0.14 s at n = 8 and 0.20 s at n = 12, and a default verify of it 0.16 s
-# at n = 6; of a dense mu = 1 map (perfbench's random_map, seed 1) the
-# profile took 2.2 s at n = 6 and 34 s at n = 7 (whole runs with start-up,
-# Python 3.11 on 2 shared cores).  The verify jobs under _MAX_BETAS bound
-# n as well.
+# Laplace in the packed kernel and keeps each sub-determinant for the
+# cofactors that share it, about n²·2^n products where the entries are
+# dense.  A profile at degree 2 of the identity map took 0.11 s at n = 6, 7,
+# 8 and 12, and a default verify of it 0.12 s at n = 6; of a dense mu = 1
+# map (perfbench's random_map, seed 1) the profile took 0.84 s at n = 6 and
+# 8.0 s at n = 7 (whole runs with start-up, Python 3.11 on 2 shared cores).
+# The verify jobs under _MAX_BETAS bound n as well.
 _MAX_N = 6
 
 # The most points a ``grid_axes`` product may have: 100 x 100 axes stratify
@@ -394,21 +394,21 @@ _MAX_GRID_POINTS = 10_000
 # n) - 1 of them.  A beta's cost grows with n and with the germ's density,
 # so no cap on max_beta alone fits every n.  Whole verify runs on dense
 # mu = 1 maps at rational centres (perfbench's random_map, seed 1) took, at
-# n = 2, 1.7 s for max_beta 6 (27 betas), 4.3 s for 7 (35) and 10.4 s for 8
-# (44); at n = 3, 0.36 s for 3 (19) and 3.9 s for 4 (34); at n = 4, 1.3 s
-# for 2 (14) and 6.0 s for 3 (34).  So the cap admits max_beta 30 at n = 1,
+# n = 2, 1.2 s for max_beta 6 (27 betas), 4.9 s for 7 (35) and 10.3 s for 8
+# (44); at n = 3, 0.35 s for 3 (19) and 3.5 s for 4 (34); at n = 4, 1.2 s
+# for 2 (14) and 8.1 s for 3 (34).  So the cap admits max_beta 30 at n = 1,
 # 6 at n = 2, 3 at n = 3 and the default 2 at n = 4 to 6.  The slowest jobs
-# it admits are that default on such maps: 13 s at n = 5 (20 betas), and
-# at n = 6 (27) no end within 60 s, where max_beta 1 took 12 s; with mu = 0
-# at n = 6, 2 took 1.35 s and 4 (209) 16 s.  Only a cap on n refuses those.
+# it admits are that default on such maps: 15 s at n = 5 (20 betas) and
+# 161 s at n = 6 (27), where max_beta 1 took 6.5 s; with mu = 0 at n = 6, 2
+# took 0.49 s and 4 (209) 16 s.  Only a cap on n refuses those.
 _MAX_BETAS = 30
 
 # The largest extraction_max: verify builds delta, delta^3, ... as one
 # chain, each power the last times delta², all capped at
 # (2·extraction_max − 1)·mu, and the powers have more terms as n grows.  On
-# the dense mu = 1 maps above at max_beta 1, extraction_max 10 took 0.24 s
-# at n = 3, 0.38 s at n = 4 and 2.1 s at n = 5 (1.2 s at the default 3),
-# the slowest measured it admits; 20 took 0.52 s at n = 3 and 13 s at n = 4
+# the dense mu = 1 maps above at max_beta 1, extraction_max 10 took 0.14 s
+# at n = 3, 0.38 s at n = 4 and 2.0 s at n = 5 (1.0 s at the default 3),
+# the slowest measured it admits; 20 took 0.72 s at n = 3 and 17 s at n = 4
 # (whole runs with start-up, Python 3.11 on 2 shared cores).
 _MAX_EXTRACTION = 10
 
@@ -622,11 +622,12 @@ class _JobContext:
         return self.pmap.germ_at(self.job.center,
                                  self.job.degree if degree is None else degree)
 
-    def profile(self):
-        """Jacobian profile at the job degree, or at the map's default
-        profile degree when that is higher."""
-        return profile(self.germ(max(self.job.degree,
-                                     self.pmap.default_profile_degree())))
+    def profiled(self):
+        """The germ at the job degree, or at the map's default profile
+        degree when that is higher, and its Jacobian profile."""
+        germ = self.germ(max(self.job.degree,
+                             self.pmap.default_profile_degree()))
+        return germ, profile(germ)
 
 
 def _cmd_compose(ctx):
@@ -638,14 +639,15 @@ def _cmd_compose(ctx):
 
 
 def _cmd_profile(ctx):
-    return {"command": "profile", "profile": profile_to_dict(ctx.profile())}, {}
+    return {"command": "profile",
+            "profile": profile_to_dict(ctx.profiled()[1])}, {}
 
 
 def _cmd_recover(ctx):
     job = ctx.job
     f = job.payload["f"] if "f" in job.payload else parse_polynomial(
         job.payload["f_expr"], job.variables, job.center, job.degree)
-    prof = ctx.profile()
+    _, prof = ctx.profiled()
     target = job.payload["target_degree"]
     if target is None:
         target = max_recoverable_degree(prof.mu, f.trunc)
@@ -746,26 +748,30 @@ def _cmd_verify(ctx):
     job = ctx.job
     max_beta, extraction_max, roundtrip_degree = (job.payload[key] for key in (
         "max_beta", "extraction_max", "roundtrip_degree"))
-    mu = ctx.profile().mu
-    work = working_degree(mu, max(max_beta, roundtrip_degree))
-    germ_degree = max(work + 1, (2 * extraction_max - 1) * mu + 1,
+    germ, prof = ctx.profiled()
+    work = working_degree(prof.mu, max(max_beta, roundtrip_degree))
+    germ_degree = max(work + 1, (2 * extraction_max - 1) * prof.mu + 1,
                       job.degree)
-    germ = ctx.germ(germ_degree)
-    table = build_t_operators(germ, max_beta, work_degree=work)
+    if germ.trunc != germ_degree:
+        germ, prof = ctx.germ(germ_degree), None
+    # one germ and one profile serve the table, every check and the round
+    # trip; the chain rule and Cramer's rule read the same compositions
+    table = build_t_operators(germ, max_beta, work_degree=work, prof=prof)
     prof = table.profile
     rng = random.Random(job.payload["seed"])
     b = germ.image_point
     g_rand = _random_series(rng, job.n, b, 3)
+    parts = _chain_parts(g_rand, germ)
     checks = []
 
     def record(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    residuals = chain_rule_residuals(g_rand, germ)
+    residuals = chain_rule_residuals(g_rand, germ, parts=parts)
     record("chain_rule", all(r.is_zero for r in residuals),
            f"{len(residuals)} coordinate residuals, zero to degree "
            f"{min(r.trunc for r in residuals)}")
-    residuals = verify_cramer_base(germ, g_rand, prof=prof)
+    residuals = verify_cramer_base(germ, g_rand, prof, parts=parts)
     record("cramer_base", all(r.is_zero for r in residuals),
            f"{len(residuals)} column residuals, zero to degree "
            f"{min(r.trunc for r in residuals)}")
@@ -787,7 +793,7 @@ def _cmd_verify(ctx):
            f"pivot structure for m <= {extraction_max}")
     g0 = _random_series(rng, job.n, b, roundtrip_degree, trunc=germ.trunc - 1)
     f0 = compose(g0, germ)
-    rec = recover(germ, f0, roundtrip_degree)
+    rec = recover(germ, f0, roundtrip_degree, prof=prof)
     round_ok = (rec.g_series.coeffs == g0.coeffs) and rec.residual.is_zero
     record("round_trip", round_ok,
            f"random composite recovered to degree {roundtrip_degree}")

@@ -70,6 +70,7 @@ from .mindex import (
 from .pseries import (
     MapGerm,
     TruncatedSeries,
+    _chain_parts,
     _monomial_power,
     _packed,
     _packed_derivative,
@@ -306,14 +307,16 @@ def working_degree(mu, max_beta_degree):
     return (2 * max_beta_degree - 1) * mu + max_beta_degree
 
 
-def build_t_operators(germ, max_beta_degree, work_degree=None):
+def build_t_operators(germ, max_beta_degree, work_degree=None, prof=None):
     """Materialize the full operator table for |beta| <= max_beta_degree.
 
     ``work_degree`` defaults to the working rule for the germ's own
     invariants; the germ truncation must exceed it by one so the base level
-    carries the full working degree.
+    carries the full working degree.  ``prof`` is the germ's profile when
+    the caller has it; by default it is computed here.
     """
-    prof = profile(germ)
+    if prof is None:
+        prof = profile(germ)
     if work_degree is None:
         work_degree = working_degree(prof.mu, max_beta_degree)
     entries = {}
@@ -324,11 +327,11 @@ def build_t_operators(germ, max_beta_degree, work_degree=None):
         work_degree=work_degree, entries=entries)
 
 
-def _delta_power(delta, exponent, upto=None):
-    """delta^exponent, capped at ``upto`` when given."""
-    out = delta if upto is None else delta.truncated(min(delta.trunc, upto))
+def _delta_power(delta, exponent):
+    """delta^exponent at delta's truncation."""
+    out = delta
     for _ in range(exponent - 1):
-        out = out.mul(delta, upto=upto)
+        out = out.mul(delta)
     return out
 
 
@@ -351,19 +354,16 @@ def verify_defining_identity(table, g, beta):
     return lhs - rhs
 
 
-def verify_cramer_base(germ, g, prof):
+def verify_cramer_base(germ, g, prof, parts=None):
     """Residuals of the level-one contraction for each image coordinate j:
     delta · ((dg/dy_j) ∘ germ) - Σ_i (df/dx_i) · adj[i][j], from the germ's
-    profile ``prof``."""
+    profile ``prof``.  ``parts`` are the compositions
+    ``pseries._chain_parts(g, germ)`` when the caller has them."""
     n = germ.n
-    f = compose(g, germ)
-    f_grad = [f.derive(unit(n, i)) for i in range(n)]
-    residuals = []
-    for j in range(n):
-        lhs = prof.delta.mul(compose(g.derive(unit(n, j)), germ))
-        residuals.append(lhs - _sum_of_products(
-            (f_grad[i], prof.adjugate[i][j]) for i in range(n)))
-    return residuals
+    f_grad, outer = _chain_parts(g, germ) if parts is None else parts
+    return [prof.delta.mul(outer[j]) - _sum_of_products(
+        (f_grad[i], prof.adjugate[i][j]) for i in range(n))
+        for j in range(n)]
 
 
 def verify_identity_on_monomials(table, g_degree):
@@ -391,7 +391,8 @@ def verify_identity_on_monomials(table, g_degree):
     work_degree - m + 1, germ.trunc - m, the degree of delta^(2m-1) and those
     of the stored entries T[beta, alpha].  The Q_alpha hold w in the row
     builder's marker fields and are built once per call; E_beta takes one
-    packed product per stored entry.
+    packed product per stored entry, and delta^(2m-1) is the last level's
+    power times delta².
     """
     germ = table.germ
     n = germ.n
@@ -425,11 +426,19 @@ def verify_identity_on_monomials(table, g_degree):
         return _monomial_power(kappa, powers,
                                lambda p, j: p.mul(devs[j], upto=w))
 
+    delta = table.profile.delta
+    dpower = square = None
     records = []
     for m in range(1, table.max_beta_degree + 1):
         cap = w - m + 1
-        d_trunc, dpow = builder._pack(
-            _delta_power(table.profile.delta, 2 * m - 1, upto=cap))
+        # delta^(2m-1) extends the last power by delta², both capped at cap
+        if dpower is None:
+            dpower = delta.truncated(min(delta.trunc, cap))
+        else:
+            if square is None:
+                square = delta.mul(delta, upto=cap)
+            dpower = dpower.mul(square, upto=cap)
+        d_trunc, dpow = builder._pack(dpower)
         alphas = [alpha for alpha in all_alphas if sum(alpha) <= m]
         for beta in enumerate_degree(n, m):
             entries = [table.entries[(beta, alpha)] for alpha in alphas]

@@ -6,10 +6,12 @@ of different truncations takes the smaller, as every series product does.
 The adjugate is the transposed cofactor matrix, the unique matrix with
 J · adj(J) = adj(J) · J = det(J) · I.  Each cofactor is the Laplace
 expansion of its minor, run in the packed product kernel of ``pseries``:
-the entries are packed once, and each cofactor is unpacked once.  For a
-1x1 matrix the adjugate is the constant [1] (empty-minor convention),
-which forces the adjugate vanishing order to 0 in one variable and thereby
-pins the scaling exponent of the one-variable fixtures.  The determinant is
+the entries are packed once, each sub-determinant is expanded once per
+cap, and each cofactor is unpacked once; ``matmul`` packs each entry once
+too.  For a 1x1 matrix the adjugate is the constant [1] (empty-minor
+convention), which forces the adjugate vanishing order to 0 in one
+variable and thereby pins the scaling exponent of the one-variable
+fixtures.  The determinant is
 the first-row Laplace sum Σ_j J[0][j] · adj[j][0] over the cofactors the
 adjugate already holds.
 One helper reads (mu, alpha, nu) off the coefficients of the determinant
@@ -49,13 +51,44 @@ def jacobian_matrix(germ):
                  for comp in germ.components)
 
 
+def _packed_rows(m, shift):
+    """Each entry of the matrix ``m`` as sorted packed terms at ``shift``;
+    an entry keeps every term of its own truncation."""
+    return [[_packed(e.coeffs, shift, e.trunc) for e in row] for row in m]
+
+
 def matmul(a, b):
-    """Product of two square matrices given as rows of series."""
+    """Product of two square matrices given as rows of series.
+
+    Entry (i, j) is Σ_k a[i][k] · b[k][j] at the truncation a chain of
+    products and sums gives it: the minimum over row i of ``a`` and column
+    j of ``b``.  Every entry is packed once, at the shift of the largest
+    truncation, and each product entry is unpacked once."""
     if len(a) != len(b):
         raise DimensionMismatch("matrix sizes differ")
+    first = a[0][0]
+    n, center = first.n, first.center
+    entries = [e for m in (a, b) for row in m for e in row]
+    for e in entries:
+        first._require_same_frame(e)
+    shift = max(e.trunc for e in entries).bit_length() or 1
     cols = list(zip(*b))
-    return tuple(tuple(_sum_of_products(zip(row, col)) for col in cols)
-                 for row in a)
+    packed_cols = _packed_rows(cols, shift)
+    col_truncs = [min(e.trunc for e in col) for col in cols]
+    out = []
+    for row, packed_row in zip(a, _packed_rows(a, shift)):
+        row_trunc = min(e.trunc for e in row)
+        products = []
+        for col, col_trunc in zip(packed_cols, col_truncs):
+            t = min(row_trunc, col_trunc)
+            limit = (t + 1) << n * shift
+            acc = {}
+            for x, y in zip(packed_row, col):
+                _products_into(acc, x, y, limit)
+            products.append(TruncatedSeries._raw(
+                n, center, t, _unpacked(acc.items(), n, shift)))
+        out.append(tuple(products))
+    return tuple(out)
 
 
 def adjugate(m):
@@ -65,9 +98,12 @@ def adjugate(m):
     first row, with the truncation the series expansion gives it: the
     minimum over the minor's entries.  Every entry is packed once, at the
     shift of the largest truncation; the signs are folded into the
-    first-row coefficients, every product of the expansion runs in the
-    packed kernel at the cofactor's cap, and each cofactor is unpacked
-    once.  The cofactors of a 2x2 matrix are its entries, two negated."""
+    first-row coefficients, and every product of the expansion runs in the
+    packed kernel at the cofactor's cap.  Each sub-determinant is kept by
+    (rows, columns, cap), so the cofactors that share it expand it once:
+    about n²·2^n products on a dense matrix instead of n·n!.  Each cofactor
+    is unpacked once.  The cofactors of a 2x2 matrix are its entries, two
+    negated."""
     k = len(m)
     first = m[0][0]
     n, center = first.n, first.center
@@ -80,29 +116,36 @@ def adjugate(m):
         for e in row:
             first._require_same_frame(e)
     shift = max(e.trunc for row in m for e in row).bit_length() or 1
-    packed = [[_packed(e.coeffs, shift, e.trunc) for e in row] for row in m]
+    packed = _packed_rows(m, shift)
     negated = [[[(key, -c) for key, c in terms] for terms in row]
                for row in packed]
+    dets = {}
 
     def laplace_into(acc, rows, cols, odd, limit):
         """Add (−1)^odd · det of m's rows × cols into ``acc``."""
         top, rest = rows[0], rows[1:]
         for idx, col in enumerate(cols):
             head = (negated if (odd + idx) % 2 else packed)[top][col]
-            if not head:
-                continue
-            others = cols[:idx] + cols[idx + 1:]
-            if len(rest) == 1:
-                minor = packed[rest[0]][others[0]]
-            else:
-                sub = {}
-                laplace_into(sub, rest, others, 0, limit)
-                minor = _sorted_terms(sub)
-            _products_into(acc, head, minor, limit)
+            if head:
+                _products_into(acc, head,
+                               det(rest, cols[:idx] + cols[idx + 1:], limit),
+                               limit)
+
+    def det(rows, cols, limit):
+        """Sorted packed terms of det of m's rows × cols below ``limit``."""
+        if len(rows) == 1:
+            return packed[rows[0]][cols[0]]
+        key = rows, cols, limit
+        terms = dets.get(key)
+        if terms is None:
+            acc = {}
+            laplace_into(acc, rows, cols, 0, limit)
+            terms = dets[key] = _sorted_terms(acc)
+        return terms
 
     def cofactor(i, j):
-        rows = [r for r in range(k) if r != j]
-        cols = [c for c in range(k) if c != i]
+        rows = tuple(r for r in range(k) if r != j)
+        cols = tuple(c for c in range(k) if c != i)
         t = min(m[r][c].trunc for r in rows for c in cols)
         acc = {}
         laplace_into(acc, rows, cols, (i + j) % 2, (t + 1) << n * shift)

@@ -546,19 +546,28 @@ def product_coefficient(a, b, gamma):
     return as_exact(total) if total else 0
 
 
-def chain_rule_residuals(g, germ):
+def _chain_parts(g, germ):
+    """The compositions the chain rule and Cramer's rule read: the gradient
+    D_i (g ∘ germ) for each i and (D_j g) ∘ germ for each j."""
+    n = germ.n
+    f = compose(g, germ)
+    return ([f.derive(unit(n, i)) for i in range(n)],
+            [compose(g.derive(unit(n, j)), germ) for j in range(n)])
+
+
+def chain_rule_residuals(g, germ, parts=None):
     """Residuals d(g∘φ)/dx_i - Σ_j ((dg/dy_j)∘φ)·(dφ_j/dx_i) for each i.
 
     All residuals are identically zero within truncation; this is the
-    correctness witness for ``compose`` against ``derive``.
+    correctness witness for ``compose`` against ``derive``.  ``parts`` are
+    the compositions ``_chain_parts(g, germ)`` when the caller has them.
     """
-    f = compose(g, germ)
     n = germ.n
-    outer = [compose(g.derive(unit(n, j)), germ) for j in range(n)]
+    f_grad, outer = _chain_parts(g, germ) if parts is None else parts
     residuals = []
     for i in range(n):
         e_i = unit(n, i)
-        residuals.append(f.derive(e_i) - _sum_of_products(
+        residuals.append(f_grad[i] - _sum_of_products(
             (outer[j], germ.components[j].derive(e_i)) for j in range(n)))
     return residuals
 

@@ -92,13 +92,14 @@ def _integer_copies(prof):
     return den, delta, [entries[i:i + k] for i in range(0, k * k, k)]
 
 
-def recover(germ, f_series, target_degree, trace=False):
+def recover(germ, f_series, target_degree, trace=False, prof=None):
     """Recover G up to ``target_degree`` from F, plus the recomposition
     residual computed to the largest degree both sides support.
 
     The residual is shipped even for exact composites, where it must be
     identically zero: it is the self-check that does not depend on how the
-    operator sums were constructed.
+    operator sums were constructed.  ``prof`` is the germ's profile when
+    the caller has it; by default it is computed here.
     """
     if (not isinstance(target_degree, int) or isinstance(target_degree, bool)
             or target_degree < 0):
@@ -107,7 +108,8 @@ def recover(germ, f_series, target_degree, trace=False):
         raise DimensionMismatch("series and map disagree on dimension")
     if f_series.center != germ.center:
         raise CenterMismatch("series and map disagree on the centre")
-    prof = profile(germ)
+    if prof is None:
+        prof = profile(germ)
     available = min(f_series.trunc, germ.trunc - 1)
     max_deg = max_recoverable_degree(prof.mu, available)
     if target_degree > max_deg:

@@ -261,6 +261,14 @@ def reference_adjugate(m):
     return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 
 
+def reference_matmul(a, b):
+    """Product of two square matrices with each entry one series sum of
+    products: the oracle for the packed ``jacobian.matmul``."""
+    cols = list(zip(*b))
+    return tuple(tuple(_sum_of_products(zip(row, col)) for col in cols)
+                 for row in a)
+
+
 def identity_matrix(n_vars, center, trunc, size):
     one = TruncatedSeries.constant(1, n_vars, center, trunc)
     zero = TruncatedSeries(n_vars, center, trunc)
@@ -353,10 +361,11 @@ def reference_monomial_records(table, g_degree):
     all_alphas = enumerate_upto(n, table.max_beta_degree)
     derivs = {(kappa, alpha): powers[kappa].derive(alpha)
                 for kappa in kappas for alpha in all_alphas}
+    delta = table.profile.delta
     records = []
     for m in range(1, table.max_beta_degree + 1):
         cap = w - m + 1
-        dpow = _delta_power(table.profile.delta, 2 * m - 1, upto=cap)
+        dpow = _delta_power(delta.truncated(min(delta.trunc, cap)), 2 * m - 1)
         scaled = {d: dpow.mul(powers[d], upto=cap)
                   for d in kappas if sum(d) <= g_degree - m}
         zero = TruncatedSeries(n, germ.center, cap)

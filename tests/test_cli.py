@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import germradius
 from germradius import JobError, ParseError, series_from_dict, series_to_dict
 from germradius import cli
 from germradius.cli import (
@@ -447,6 +448,57 @@ def test_verify_trace_dumps_table(tmp_path):
     entries = {(tuple(e["beta"]), tuple(e["alpha"])): e["series"]
                for e in table["entries"]}
     assert entries[((2,), (1,))]["terms"] == [{"index": [0], "coeff": "-2"}]
+
+
+def _count_set_up_calls(monkeypatch):
+    """Count profile, compose and germ_at calls under every name the
+    package looks them up by."""
+    counts = {"profile": 0, "compose": 0, "germ_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [germradius.pseries, germradius.jacobian, germradius.cramerops,
+               germradius.recovery, germradius.radius, cli]
+    for name, fn in (("profile", germradius.jacobian.profile),
+                     ("compose", germradius.pseries.compose)):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted(name, fn))
+    pmap = germradius.polymap.PolynomialMap
+    monkeypatch.setattr(pmap, "germ_at", counted("germ_at", pmap.germ_at))
+    return counts
+
+
+def test_verify_builds_germ_profile_and_compositions_once(tmp_path,
+                                                          monkeypatch):
+    # at degree 4 the verify germ is the profile's germ (default profile
+    # degree 4, working degree 2): one germ and one profile serve the
+    # table, the checks and the round trip, and the chain rule and Cramer's
+    # rule share f, ∇f and every (D_j g)∘φ, so compose runs n + 3 times
+    path = write_job(tmp_path, command="verify", n=3,
+                     variables=["x", "y", "z"],
+                     map=["x + y^2", "y - z^2", "z + 2*x^2 - 1"],
+                     center=["1/2", "-1", "0"], degree=4, max_beta=2,
+                     monomial_degree=3, extraction_max=2, roundtrip_degree=2)
+    counts = _count_set_up_calls(monkeypatch)
+    report = run_job(load_job(path), tmp_path / "out")
+    assert report["passed"] is True
+    assert counts == {"profile": 1, "compose": 6, "germ_at": 1}
+
+
+def test_verify_blowup_demo_profiles_twice(tmp_path, monkeypatch):
+    # its verify germ (degree 9) is above the profile's (degree 8), so the
+    # table, the checks and the round trip share a second profile
+    counts = _count_set_up_calls(monkeypatch)
+    report = run_job(load_job(_DEMO_JOBS / "verify_blowup.json"),
+                     tmp_path / "out")
+    assert report["passed"] is True
+    assert counts == {"profile": 2, "compose": 5, "germ_at": 2}
 
 
 # -- exit codes ---------------------------------------------------------------

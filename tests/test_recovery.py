@@ -290,7 +290,8 @@ def test_extraction_witnesses_match_each_power_built_alone(n):
         max_m = 6 // max(prof.mu, 1)
         for wt in extraction_witnesses(prof, max_m):
             cap = (2 * wt.m - 1) * prof.mu
-            power = _delta_power(prof.delta, 2 * wt.m - 1, upto=cap).coeffs
+            power = _delta_power(prof.delta.truncated(cap),
+                                 2 * wt.m - 1).coeffs
             low = min(power, key=grlex_key)
             assert (wt.min_index, wt.pivot_coefficient) == (low, power[low])
             assert wt.passed
